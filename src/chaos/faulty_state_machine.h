@@ -39,6 +39,13 @@ class LossyKvStateMachine : public StateMachine {
   uint64_t version() const override { return inner_.version(); }
   Digest StateDigest() const override { return inner_.StateDigest(); }
   Buffer Snapshot() const override { return inner_.Snapshot(); }
+  Result<Buffer> SnapshotAt(uint64_t version) const override {
+    return inner_.SnapshotAt(version);
+  }
+  Digest StateCommitment() const override { return inner_.StateCommitment(); }
+  Result<Digest> SnapshotCommitment(Slice snapshot) const override {
+    return inner_.SnapshotCommitment(snapshot);
+  }
   Status Restore(Slice snapshot) override { return inner_.Restore(snapshot); }
   Status Rollback(uint64_t count) override { return inner_.Rollback(count); }
   void TrimUndoHistory(uint64_t version) override {

@@ -267,10 +267,18 @@ void SwitchManager::PollHandoff(SimTime now) {
     }
     Result<Checkpoint> cp = rep.checkpoints().Get(cut_seq_);
     if (!cp.ok()) continue;
+    // The replica is quiesced at the cut, so its payload is built from
+    // its live state.
+    Result<Buffer> payload = rep.CheckpointPayload(cut_seq_);
+    if (!payload.ok()) {
+      status_ = payload.status();
+      return;
+    }
     if (IsCorrectSlot(r)) {
       if (!reference_) {
         reference_ = *cp;
-        rec.handoff_bytes = cp->snapshot.size();
+        reference_->payload = *payload;
+        rec.handoff_bytes = payload->size();
       } else if (cp->state_digest != reference_->state_digest) {
         std::ostringstream os;
         os << "SWITCH HANDOFF DIVERGENCE at cut " << cut_seq_ << ": replica "
@@ -285,7 +293,7 @@ void SwitchManager::PollHandoff(SimTime now) {
     // replica inherits whatever state it made for itself).
     Status st = Status::Ok();
     std::unique_ptr<Replica> next =
-        BuildSuccessor(r, cp->snapshot, cp->state_digest, &st);
+        BuildSuccessor(r, *payload, cp->state_digest, &st);
     if (!st.ok()) {
       status_ = st;
       return;
@@ -308,7 +316,7 @@ void SwitchManager::PollHandoff(SimTime now) {
       if (swapped_[r]) continue;
       Status st = Status::Ok();
       std::unique_ptr<Replica> next = BuildSuccessor(
-          r, reference_->snapshot, reference_->state_digest, &st);
+          r, *reference_->payload, reference_->state_digest, &st);
       if (!st.ok()) {
         status_ = st;
         return;

@@ -124,7 +124,7 @@ class SwitchManager {
                    DegradationSignature sig = DegradationSignature::kNone);
   void PollHandoff(SimTime now);
   /// Builds the next-epoch replica for slot `id` seeded from `payload`
-  /// (must hash to `digest`).
+  /// (verified against the checkpoint `digest`).
   std::unique_ptr<Replica> BuildSuccessor(ReplicaId id, const Buffer& payload,
                                           const Digest& digest, Status* st);
   void CompleteSwitch(SimTime now);
@@ -152,7 +152,8 @@ class SwitchManager {
   std::string target_;
   ProtocolBuild target_build_;
   SequenceNumber cut_seq_ = 0;
-  /// Cross-checked handoff payload from the first ready correct replica.
+  /// Cross-checked handoff checkpoint from the first ready correct
+  /// replica, holding its payload for force-seeded laggards.
   std::optional<Checkpoint> reference_;
   std::vector<bool> swapped_;
   SimTime force_deadline_ = 0;

@@ -112,21 +112,20 @@ void Sha256::Update(Slice data) {
 }
 
 Digest Sha256::Finalize() {
-  uint64_t total_bits = bit_count_;
-  // Append 0x80 then zero padding then 64-bit big-endian length.
-  uint8_t pad = 0x80;
-  Update(Slice(&pad, 1));
-  uint8_t zero = 0x00;
-  // Pad until pending length is 56 (mod 64). Update() keeps bit_count_
-  // growing but we already captured total_bits.
-  while (pending_len_ != 56) {
-    Update(Slice(&zero, 1));
+  // Append 0x80, zeros up to 56 (mod 64), then the 64-bit big-endian bit
+  // length, straight into the pending block: one block when the message
+  // tail leaves room for the 9 bytes, two otherwise.
+  pending_[pending_len_++] = 0x80;
+  if (pending_len_ > 56) {
+    std::memset(pending_ + pending_len_, 0, 64 - pending_len_);
+    ProcessBlock(pending_);
+    pending_len_ = 0;
   }
-  uint8_t len_bytes[8];
+  std::memset(pending_ + pending_len_, 0, 56 - pending_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(total_bits >> (56 - 8 * i));
+    pending_[56 + i] = static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
   }
-  Update(Slice(len_bytes, 8));
+  ProcessBlock(pending_);
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "common/codec.h"
 #include "common/fnv.h"
@@ -254,29 +255,39 @@ void Replica::ExecuteBatch(SequenceNumber seq, Batch batch, bool speculative) {
   TraceSpanBegin(exec_span, view(), seq);
   ExecutedBatch record;
   record.seq = seq;
-  record.digest = batch.ComputeDigest();
   record.speculative = speculative;
+  // Each request is hashed once: its digest feeds the batch digest (in
+  // agreed order) and the pool removal below.
+  std::vector<Digest> digests;
+  digests.reserve(batch.requests.size());
+  for (const ClientRequest& request : batch.requests) {
+    digests.push_back(request.ComputeDigest());
+  }
+  record.digest = Batch::DigestOf(digests);
 
   // Stamped shard ops (smr/shard_op.h) execute at a sequencer-assigned
   // slot; sorting them into slot order within the agreed batch turns
   // most same-batch stamp inversions into clean applies instead of
   // gap-retry round trips. Non-shard requests all key to 0, so a stable
   // sort leaves legacy batches untouched. Deterministic across replicas
-  // because the agreed batch content fully determines the order.
-  std::stable_sort(batch.requests.begin(), batch.requests.end(),
-                   [](const ClientRequest& a, const ClientRequest& b) {
-                     return ShardOp::StampOf(a.operation) <
-                            ShardOp::StampOf(b.operation);
-                   });
+  // because the agreed batch content fully determines the order. The
+  // sort permutes indices so each digest travels with its request.
+  std::vector<size_t> order(batch.requests.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return ShardOp::StampOf(batch.requests[a].operation) <
+           ShardOp::StampOf(batch.requests[b].operation);
+  });
 
-  for (const ClientRequest& request : batch.requests) {
+  for (size_t i : order) {
+    const ClientRequest& request = batch.requests[i];
     // A request may be ordered twice (e.g. re-proposed across a view
     // change); execute only its first occurrence, like PBFT's null-op
     // substitution for duplicates.
     auto dup = reply_cache_.find(request.client);
     if (dup != reply_cache_.end() &&
         dup->second.timestamp >= request.timestamp) {
-      RemoveFromPool(request.ComputeDigest());
+      RemoveFromPool(digests[i]);
       OnRequestExecuted(request, speculative);
       continue;
     }
@@ -320,7 +331,7 @@ void Replica::ExecuteBatch(SequenceNumber seq, Batch batch, bool speculative) {
     entry.result = result_bytes;
     entry.speculative = speculative;
 
-    RemoveFromPool(request.ComputeDigest());
+    RemoveFromPool(digests[i]);
     // Replica 0 reports the global execution order for fairness metrics.
     if (config_.id == 0) {
       metrics().RecordExecution(request.client, request.timestamp);
@@ -328,7 +339,10 @@ void Replica::ExecuteBatch(SequenceNumber seq, Batch batch, bool speculative) {
     SendReply(request, result_bytes, speculative, seq);
     OnRequestExecuted(request, speculative);
   }
-  record.requests = std::move(batch.requests);
+  record.requests.reserve(order.size());
+  for (size_t i : order) {
+    record.requests.push_back(std::move(batch.requests[i]));
+  }
 
   last_executed_ = seq;
   exec_history_.push_back(std::move(record));
@@ -351,11 +365,16 @@ void Replica::FinalizeUpTo(SequenceNumber seq) {
     exec_history_.pop_front();
   }
   if (finalized_ > 0) {
-    // Undo data before the finalized prefix is no longer needed.
-    // (Rollback never crosses a finalized sequence number.)
+    // Rollback never crosses a finalized sequence number, so undo data
+    // before the finalized prefix serves only the retained checkpoints,
+    // which rebuild their payloads from it.
     uint64_t keep_after = state_machine_->version();
     for (const ExecutedBatch& record : exec_history_) {
       keep_after -= record.op_count;
+    }
+    if (std::optional<uint64_t> oldest =
+            checkpoint_store_.OldestRebuildVersion()) {
+      keep_after = std::min(keep_after, *oldest);
     }
     state_machine_->TrimUndoHistory(keep_after);
   }
@@ -383,6 +402,7 @@ Status Replica::RollbackTo(SequenceNumber seq) {
   }
   if (batches == 0) return Status::Ok();
 
+  HoldPayloadsFrom(state_machine_->version() - ops_to_undo + 1);
   BFTLAB_RETURN_IF_ERROR(state_machine_->Rollback(ops_to_undo));
 
   for (size_t i = 0; i < batches; ++i) {
@@ -442,10 +462,12 @@ void Replica::ScheduleSwitch(uint64_t target_epoch, const std::string& target,
 }
 
 Status Replica::SeedFromPayload(const Buffer& payload, const Digest& digest) {
-  if (Sha256::Hash(payload) != digest) {
-    return Status::InvalidArgument("handoff payload digest mismatch");
+  Result<DecodedPayload> decoded = VerifyCheckpointPayload(payload, digest);
+  if (!decoded.ok()) {
+    return Status::InvalidArgument("handoff payload rejected: " +
+                                   decoded.status().ToString());
   }
-  BFTLAB_RETURN_IF_ERROR(RestoreCheckpointPayload(payload));
+  BFTLAB_RETURN_IF_ERROR(RestoreCheckpointPayload(std::move(decoded).value()));
   // The payload encodes the very switch that created this replica; do
   // not re-adopt it as a pending switch out of our own epoch.
   switch_pending_ = false;
@@ -456,7 +478,7 @@ Status Replica::SeedFromPayload(const Buffer& payload, const Digest& digest) {
   return Status::Ok();
 }
 
-Buffer Replica::EncodeCheckpointPayload(SequenceNumber seq) const {
+Buffer Replica::EncodeReplyCache() const {
   Encoder enc;
   // The reply cache rides along with the application snapshot: after a
   // state transfer the receiver must suppress duplicates exactly like
@@ -471,7 +493,11 @@ Buffer Replica::EncodeCheckpointPayload(SequenceNumber seq) const {
     enc.PutU64(cached.timestamp);
     enc.PutBytes(cached.result);
   }
-  enc.PutBytes(state_machine_->Snapshot());
+  return enc.Take();
+}
+
+Buffer Replica::EncodeSwitchState(SequenceNumber seq) const {
+  Encoder enc;
   // Pending-switch state is a pure function of the executed prefix: the
   // directive either did or did not execute by `seq`, identically on
   // every replica that reached this checkpoint. Folding it into the
@@ -487,37 +513,87 @@ Buffer Replica::EncodeCheckpointPayload(SequenceNumber seq) const {
   return enc.Take();
 }
 
-Status Replica::RestoreCheckpointPayload(const Buffer& payload) {
+Digest Replica::CheckpointDigest(Slice head, const Digest& commitment,
+                                 Slice tail) {
+  Sha256 h;
+  h.Update(head);
+  h.Update(commitment.AsSlice());
+  h.Update(tail);
+  return h.Finalize();
+}
+
+Result<Buffer> Replica::BuildCheckpointPayload(
+    const Checkpoint& checkpoint) const {
+  if (checkpoint.payload) return *checkpoint.payload;
+  BFTLAB_ASSIGN_OR_RETURN(Buffer snapshot,
+                          state_machine_->SnapshotAt(checkpoint.version));
+  Encoder enc(checkpoint.head);
+  enc.PutBytes(snapshot);
+  enc.PutRaw(checkpoint.tail);
+  return enc.Take();
+}
+
+Result<Buffer> Replica::CheckpointPayload(SequenceNumber seq) const {
+  BFTLAB_ASSIGN_OR_RETURN(Checkpoint checkpoint, checkpoint_store_.Get(seq));
+  return BuildCheckpointPayload(checkpoint);
+}
+
+void Replica::HoldPayloadsFrom(uint64_t version) {
+  std::vector<std::pair<SequenceNumber, Buffer>> held;
+  for (const auto& [seq, checkpoint] : checkpoint_store_.retained()) {
+    if (checkpoint.payload || checkpoint.version < version) continue;
+    Result<Buffer> payload = BuildCheckpointPayload(checkpoint);
+    if (payload.ok()) held.emplace_back(seq, std::move(payload).value());
+  }
+  for (auto& [seq, payload] : held) {
+    checkpoint_store_.HoldPayload(seq, std::move(payload));
+  }
+}
+
+Result<Replica::DecodedPayload> Replica::VerifyCheckpointPayload(
+    const Buffer& payload, const Digest& digest) const {
+  DecodedPayload out;
   Decoder dec{Slice(payload)};
   BFTLAB_ASSIGN_OR_RETURN(uint64_t count, dec.GetU64());
-  std::map<ClientId, CachedReply> cache;
   for (uint64_t i = 0; i < count; ++i) {
     BFTLAB_ASSIGN_OR_RETURN(uint64_t client, dec.GetU64());
     CachedReply cached;
     BFTLAB_ASSIGN_OR_RETURN(cached.timestamp, dec.GetU64());
     BFTLAB_ASSIGN_OR_RETURN(cached.result, dec.GetBytes());
     cached.speculative = false;  // Checkpointed state is final.
-    cache[static_cast<ClientId>(client)] = std::move(cached);
+    out.reply_cache[static_cast<ClientId>(client)] = std::move(cached);
   }
-  BFTLAB_ASSIGN_OR_RETURN(Buffer snapshot, dec.GetBytes());
-  BFTLAB_ASSIGN_OR_RETURN(uint64_t sw_epoch, dec.GetU64());
-  std::string sw_target;
-  SequenceNumber sw_sched = 0, sw_cut = 0;
-  if (sw_epoch != 0) {
+  const size_t head_size = payload.size() - dec.remaining();
+  BFTLAB_ASSIGN_OR_RETURN(out.snapshot, dec.GetBytes());
+  const size_t tail_start = payload.size() - dec.remaining();
+  BFTLAB_ASSIGN_OR_RETURN(out.switch_epoch, dec.GetU64());
+  if (out.switch_epoch != 0) {
     BFTLAB_ASSIGN_OR_RETURN(Buffer target_bytes, dec.GetBytes());
-    sw_target.assign(reinterpret_cast<const char*>(target_bytes.data()),
-                     target_bytes.size());
-    BFTLAB_ASSIGN_OR_RETURN(sw_sched, dec.GetU64());
-    BFTLAB_ASSIGN_OR_RETURN(sw_cut, dec.GetU64());
+    out.switch_target.assign(
+        reinterpret_cast<const char*>(target_bytes.data()),
+        target_bytes.size());
+    BFTLAB_ASSIGN_OR_RETURN(out.switch_sched_seq, dec.GetU64());
+    BFTLAB_ASSIGN_OR_RETURN(out.switch_cut_seq, dec.GetU64());
   }
-  BFTLAB_RETURN_IF_ERROR(state_machine_->Restore(snapshot));
-  reply_cache_ = std::move(cache);
-  if (sw_epoch == config_.epoch + 1 && !switch_pending_) {
+  out.head.assign(payload.begin(), payload.begin() + head_size);
+  out.tail.assign(payload.begin() + tail_start, payload.end());
+  BFTLAB_ASSIGN_OR_RETURN(Digest commitment,
+                          state_machine_->SnapshotCommitment(out.snapshot));
+  if (CheckpointDigest(out.head, commitment, out.tail) != digest) {
+    return Status::Corruption("payload does not match its checkpoint digest");
+  }
+  return out;
+}
+
+Status Replica::RestoreCheckpointPayload(DecodedPayload payload) {
+  BFTLAB_RETURN_IF_ERROR(state_machine_->Restore(payload.snapshot));
+  reply_cache_ = std::move(payload.reply_cache);
+  if (payload.switch_epoch == config_.epoch + 1 && !switch_pending_) {
     switch_pending_ = true;
-    switch_target_epoch_ = sw_epoch;
-    switch_target_ = std::move(sw_target);
-    switch_sched_seq_ = sw_sched;
-    switch_cut_seq_ = sw_cut;
+    switch_target_epoch_ = payload.switch_epoch;
+    switch_target_ = std::move(payload.switch_target);
+    switch_sched_seq_ = payload.switch_sched_seq;
+    switch_cut_seq_ = payload.switch_cut_seq;
     metrics().Increment("switch.adopted_via_state_transfer");
     OnSwitchScheduled(switch_cut_seq_);
   }
@@ -526,9 +602,18 @@ Status Replica::RestoreCheckpointPayload(const Buffer& payload) {
 
 void Replica::MaybeTakeCheckpoint(SequenceNumber seq) {
   if (!checkpoint_store_.IsCheckpointSeq(seq)) return;
-  Buffer payload = EncodeCheckpointPayload(seq);
-  Digest digest = Sha256::Hash(payload);
-  checkpoint_store_.Add(seq, digest, std::move(payload));
+  // O(keys changed since the last checkpoint): the state machine keeps
+  // its commitment current, and the payload the digest certifies is
+  // built only when a state transfer or a switch handoff asks for it.
+  Checkpoint checkpoint;
+  checkpoint.seq = seq;
+  checkpoint.version = state_machine_->version();
+  checkpoint.head = EncodeReplyCache();
+  checkpoint.tail = EncodeSwitchState(seq);
+  const Digest digest = CheckpointDigest(
+      checkpoint.head, state_machine_->StateCommitment(), checkpoint.tail);
+  checkpoint.state_digest = digest;
+  checkpoint_store_.Add(std::move(checkpoint));
   metrics().Increment("replica.checkpoints_taken");
   TraceMark("checkpoint", view(), seq);
   auto msg = std::make_shared<CheckpointMessage>(seq, digest, config_.id);
@@ -569,8 +654,10 @@ void Replica::HandleStateRequest(NodeId from, const StateRequestMessage& msg) {
   Result<Checkpoint> cp = checkpoint_store_.Get(msg.seq());
   if (!cp.ok()) cp = checkpoint_store_.GetStable();
   if (!cp.ok()) return;
+  Result<Buffer> payload = BuildCheckpointPayload(*cp);
+  if (!payload.ok()) return;
   Send(from, std::make_shared<StateResponseMessage>(
-                 cp->seq, cp->state_digest, cp->snapshot));
+                 cp->seq, cp->state_digest, std::move(payload).value()));
 }
 
 void Replica::HandleStateResponse(NodeId /*from*/,
@@ -584,21 +671,34 @@ void Replica::HandleStateResponse(NodeId /*from*/,
     return;
   }
   // Verify against the certified digest before mutating any state.
-  if (Sha256::Hash(msg.snapshot()) != msg.state_digest()) {
+  Result<DecodedPayload> payload =
+      VerifyCheckpointPayload(msg.snapshot(), msg.state_digest());
+  if (!payload.ok()) {
     metrics().Increment("replica.state_transfer_corrupt");
     return;
   }
-  if (!RestoreCheckpointPayload(msg.snapshot()).ok()) {
+  Checkpoint checkpoint;
+  checkpoint.seq = msg.seq();
+  checkpoint.state_digest = msg.state_digest();
+  checkpoint.head = payload->head;
+  checkpoint.tail = payload->tail;
+  // The restore discards the undo history retained checkpoints rebuild
+  // their payloads from. Past the stable mark this checkpoint supersedes
+  // them all (MarkStable below drops them); short of it they stay, so
+  // their payloads are held first.
+  if (msg.seq() <= checkpoint_store_.stable_seq()) HoldPayloadsFrom(0);
+  if (!RestoreCheckpointPayload(std::move(payload).value()).ok()) {
     metrics().Increment("replica.state_transfer_corrupt");
     return;
   }
+  checkpoint.version = state_machine_->version();
 
   last_executed_ = msg.seq();
   finalized_ = msg.seq();
   exec_history_.clear();
   pending_executions_.erase(pending_executions_.begin(),
                             pending_executions_.upper_bound(msg.seq()));
-  checkpoint_store_.Add(msg.seq(), msg.state_digest(), msg.snapshot());
+  checkpoint_store_.Add(std::move(checkpoint));
   checkpoint_store_.MarkStable(msg.seq());
   state_transfer_target_ = 0;
   metrics().Increment("replica.state_transfers_completed");

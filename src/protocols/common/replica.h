@@ -175,11 +175,17 @@ class Replica : public Actor {
            checkpoint_store_.Get(switch_cut_seq_).ok();
   }
 
-  /// Seeds a freshly-built next-epoch replica from a digest-verified
-  /// checkpoint payload of its predecessor: application snapshot plus
-  /// reply cache, so requests executed before the cut are answered from
-  /// cache instead of re-executing. Sequence numbering starts at 0 in
-  /// the new epoch; the state-machine version continues.
+  /// The payload the retained checkpoint at `seq` certifies — reply
+  /// cache, application snapshot, pending-switch state — built on demand
+  /// from the live state machine and its undo history.
+  Result<Buffer> CheckpointPayload(SequenceNumber seq) const;
+
+  /// Seeds a freshly-built next-epoch replica from a checkpoint payload
+  /// of its predecessor, verified against `digest` before anything is
+  /// restored: application snapshot plus reply cache, so requests
+  /// executed before the cut are answered from cache instead of
+  /// re-executing. Sequence numbering starts at 0 in the new epoch; the
+  /// state-machine version continues.
   Status SeedFromPayload(const Buffer& payload, const Digest& digest);
 
   /// FNV-1a digest of the replica's behavior-relevant state (view,
@@ -399,17 +405,43 @@ class Replica : public Actor {
     Buffer result;
     bool speculative = false;
   };
+  // A checkpoint payload taken apart: the bytes around the application
+  // snapshot, which the checkpoint digest covers verbatim, and the reply
+  // cache and switch state they encode.
+  struct DecodedPayload {
+    Buffer head;
+    Buffer snapshot;
+    Buffer tail;
+    std::map<ClientId, CachedReply> reply_cache;
+    uint64_t switch_epoch = 0;
+    std::string switch_target;
+    SequenceNumber switch_sched_seq = 0;
+    SequenceNumber switch_cut_seq = 0;
+  };
 
   void HandleClientRequest(NodeId from, const RequestMessage& msg);
   void HandleCheckpoint(NodeId from, const CheckpointMessage& msg);
   void HandleStateRequest(NodeId from, const StateRequestMessage& msg);
   void HandleStateResponse(NodeId from, const StateResponseMessage& msg);
-  /// Serializes reply cache + state-machine snapshot (+ pending-switch
-  /// state as of `seq`); the checkpoint digest certifies this whole
-  /// payload, so a state transfer restores duplicate suppression along
-  /// with application state.
-  Buffer EncodeCheckpointPayload(SequenceNumber seq) const;
-  Status RestoreCheckpointPayload(const Buffer& payload);
+  /// A checkpoint payload is the reply cache (the head), the
+  /// state-machine snapshot, then the pending-switch state as of the
+  /// checkpoint's seq (the tail). Its digest covers head, the state
+  /// machine's commitment and tail, so a state transfer restores
+  /// duplicate suppression along with application state.
+  Buffer EncodeReplyCache() const;
+  Buffer EncodeSwitchState(SequenceNumber seq) const;
+  static Digest CheckpointDigest(Slice head, const Digest& commitment,
+                                 Slice tail);
+  Result<Buffer> BuildCheckpointPayload(const Checkpoint& checkpoint) const;
+  /// Holds the payload of every retained checkpoint that captured
+  /// `version` or later, before a rollback or restore discards the undo
+  /// history it is rebuilt from.
+  void HoldPayloadsFrom(uint64_t version);
+  /// Decodes `payload` and recomputes its checkpoint digest; fails unless
+  /// it equals `digest`. Changes nothing.
+  Result<DecodedPayload> VerifyCheckpointPayload(const Buffer& payload,
+                                                 const Digest& digest) const;
+  Status RestoreCheckpointPayload(DecodedPayload payload);
   /// Executes buffered batches while they are contiguous (and, during a
   /// pending switch, at or below the cut).
   void DrainExecutions();

@@ -2,13 +2,9 @@
 
 namespace bftlab {
 
-void CheckpointStore::Add(SequenceNumber seq, Digest state_digest,
-                          Buffer snapshot) {
-  Checkpoint cp;
-  cp.seq = seq;
-  cp.state_digest = state_digest;
-  cp.snapshot = std::move(snapshot);
-  checkpoints_[seq] = std::move(cp);
+void CheckpointStore::Add(Checkpoint checkpoint) {
+  const SequenceNumber seq = checkpoint.seq;
+  checkpoints_[seq] = std::move(checkpoint);
 }
 
 SequenceNumber CheckpointStore::MarkStable(SequenceNumber seq) {
@@ -16,7 +12,7 @@ SequenceNumber CheckpointStore::MarkStable(SequenceNumber seq) {
     stable_seq_ = seq;
     // Garbage-collect below the newest retained checkpoint at or below the
     // stable mark. When no checkpoint was recorded at `seq` itself (e.g.
-    // stability proven for a seq whose local snapshot is still pending),
+    // stability proven for a seq whose local checkpoint is still pending),
     // the older checkpoint backs GetStable() instead of vanishing.
     auto it = checkpoints_.upper_bound(seq);
     if (it != checkpoints_.begin()) {
@@ -42,6 +38,19 @@ Result<Checkpoint> CheckpointStore::GetStable() const {
     return Status::NotFound("no stable checkpoint yet");
   }
   return std::prev(it)->second;
+}
+
+void CheckpointStore::HoldPayload(SequenceNumber seq, Buffer payload) {
+  auto it = checkpoints_.find(seq);
+  if (it != checkpoints_.end()) it->second.payload = std::move(payload);
+}
+
+std::optional<uint64_t> CheckpointStore::OldestRebuildVersion() const {
+  std::optional<uint64_t> oldest;
+  for (const auto& [seq, cp] : checkpoints_) {
+    if (!cp.payload && (!oldest || cp.version < *oldest)) oldest = cp.version;
+  }
+  return oldest;
 }
 
 }  // namespace bftlab

@@ -142,15 +142,122 @@ Result<Buffer> KvStateMachine::Apply(Slice operation) {
   if (!decoded.ok()) return decoded.status();
 
   UndoEntry entry;
-  entry.old_digest = digest_;
   std::string s = ApplySubOp(*decoded, &entry);
-  Buffer result(s.begin(), s.end());
+  FinishApply(operation, std::move(entry));
+  return Buffer(s.begin(), s.end());
+}
 
+namespace {
+
+// Limb `i` of a digest read as a 256-bit little-endian integer.
+uint64_t Limb(const Digest& d, int i) {
+  uint64_t v = 0;
+  for (int b = 7; b >= 0; --b) v = v << 8 | d.data()[8 * i + b];
+  return v;
+}
+
+}  // namespace
+
+void KvStateMachine::RecordSum::Add(const Digest& record) {
+  uint64_t carry = 0;
+  for (int i = 0; i < 4; ++i) {
+    const uint64_t r = Limb(record, i);
+    uint64_t sum = limbs[i] + r;
+    const uint64_t overflow = sum < r;
+    sum += carry;
+    carry = overflow | (sum < carry);
+    limbs[i] = sum;
+  }
+}
+
+void KvStateMachine::RecordSum::Remove(const Digest& record) {
+  uint64_t borrow = 0;
+  for (int i = 0; i < 4; ++i) {
+    const uint64_t r = Limb(record, i);
+    const uint64_t diff = limbs[i] - r - borrow;
+    borrow = limbs[i] < r || (limbs[i] == r && borrow != 0);
+    limbs[i] = diff;
+  }
+}
+
+Digest KvStateMachine::KeyRecord(const std::string& key,
+                                 const std::string* value,
+                                 const LastWrite* writer) {
+  Buffer bytes;
+  bytes.reserve(32 + key.size() + (value != nullptr ? value->size() : 0));
+  Encoder enc(std::move(bytes));
+  enc.PutU8('k');
+  enc.PutString(key);
+  enc.PutBool(value != nullptr);
+  if (value != nullptr) enc.PutString(*value);
+  enc.PutBool(writer != nullptr);
+  if (writer != nullptr) {
+    enc.PutU32(writer->client);
+    enc.PutU64(writer->version);
+  }
+  return Sha256::Hash(enc.buffer());
+}
+
+Digest KvStateMachine::OutcomeRecord(const ShardTxnId& txn,
+                                     const ShardOutcome& outcome) {
+  Encoder enc;
+  enc.PutU8('o');
+  enc.PutU32(txn.owner);
+  enc.PutU64(txn.seq);
+  enc.PutU8(static_cast<uint8_t>(outcome.kind));
+  enc.PutBool(outcome.vote_commit);
+  enc.PutU64(outcome.token);
+  return Sha256::Hash(enc.buffer());
+}
+
+void KvStateMachine::FinishApply(Slice operation, UndoEntry entry) {
+  entry.old_digest = digest_;
+  entry.old_sum = record_sum_;
+  // Swap each touched key's record: the undo entry holds the old value
+  // and (when this apply re-stamped it) the old writer; an untouched
+  // writer is unchanged, so the current one stands for both.
+  for (const KeyUndo& undo : entry.keys) {
+    auto writer = last_writes_.find(undo.key);
+    const LastWrite* new_writer =
+        writer == last_writes_.end() ? nullptr : &writer->second;
+    const LastWrite* old_writer = new_writer;
+    if (undo.touched_writer) {
+      old_writer = undo.had_writer ? &undo.old_writer : nullptr;
+    }
+    if (undo.existed || old_writer != nullptr) {
+      record_sum_.Remove(KeyRecord(
+          undo.key, undo.existed ? &undo.old_value : nullptr, old_writer));
+    }
+    auto value = data_.find(undo.key);
+    const std::string* new_value =
+        value == data_.end() ? nullptr : &value->second;
+    if (new_value != nullptr || new_writer != nullptr) {
+      record_sum_.Add(KeyRecord(undo.key, new_value, new_writer));
+    }
+  }
+  if (entry.shard && entry.shard->outcome_inserted) {
+    record_sum_.Add(
+        OutcomeRecord(entry.shard->txn, outcomes_.at(entry.shard->txn)));
+  }
   ++version_;
   digest_ = Sha256::Hash2(digest_.AsSlice(), operation);
   entry.version = version_;
   undo_log_.push_back(std::move(entry));
-  return result;
+}
+
+void KvStateMachine::RecomputeRecordSum() {
+  record_sum_ = RecordSum();
+  for (const auto& [key, value] : data_) {
+    auto writer = last_writes_.find(key);
+    record_sum_.Add(KeyRecord(
+        key, &value, writer == last_writes_.end() ? nullptr : &writer->second));
+  }
+  for (const auto& [key, writer] : last_writes_) {
+    if (data_.count(key) == 0) record_sum_.Add(KeyRecord(key, nullptr, &writer));
+  }
+  for (const auto& [txn, outcome] : outcomes_) {
+    record_sum_.Add(OutcomeRecord(txn, outcome));
+  }
 }
 
 const std::string* KvStateMachine::FindWwConflict(const KvTxn& txn) const {
@@ -211,7 +318,6 @@ void KvStateMachine::StampLastWrites(ClientId owner, UndoEntry* entry) {
 
 Result<Buffer> KvStateMachine::ApplyTxn(Slice operation, const KvTxn& txn) {
   UndoEntry entry;
-  entry.old_digest = digest_;
 
   // Plain txns (the censored single-shard fallback) must respect 2PC
   // locks like everything else: a write slipping between a prepare and
@@ -244,18 +350,14 @@ Result<Buffer> KvStateMachine::ApplyTxn(Slice operation, const KvTxn& txn) {
 
   // Aborts advance the chain too: the abort decision is replicated state
   // and every replica must agree on it.
-  ++version_;
-  digest_ = Sha256::Hash2(digest_.AsSlice(), operation);
-  entry.version = version_;
-  undo_log_.push_back(std::move(entry));
+  FinishApply(operation, std::move(entry));
   return out.Encode();
 }
 
 Result<Buffer> KvStateMachine::ApplyShardOp(Slice operation,
                                             const ShardOp& op) {
   UndoEntry entry;
-  entry.old_digest = digest_;
-  entry.shard.emplace();
+  entry.shard = std::make_shared<ShardUndo>();
   entry.shard->txn = op.txn;
 
   ShardOpResult res;
@@ -279,10 +381,7 @@ Result<Buffer> KvStateMachine::ApplyShardOp(Slice operation,
 
   // Every shard op advances the chain — gap/blocked/rejected outcomes
   // are replicated decisions all replicas must agree on.
-  ++version_;
-  digest_ = Sha256::Hash2(digest_.AsSlice(), operation);
-  entry.version = version_;
-  undo_log_.push_back(std::move(entry));
+  FinishApply(operation, std::move(entry));
   return res.Encode();
 }
 
@@ -723,28 +822,7 @@ Buffer KvStateMachine::Snapshot() const {
   // Sharded transaction state: slot counter, retained stamped results,
   // undecided prepared txns (their locks survive state transfer — this
   // is what lets coordinator recovery lean on checkpoints), outcomes.
-  enc.PutU64(next_stamp_);
-  enc.PutU64(stamp_results_.size());
-  for (const auto& [stamp, result] : stamp_results_) {
-    enc.PutU64(stamp);
-    enc.PutBytes(Slice(result));
-  }
-  enc.PutU64(prepared_.size());
-  for (const auto& [txn, pt] : prepared_) {
-    enc.PutU32(txn.owner);
-    enc.PutU64(txn.seq);
-    enc.PutU32(pt.owner);
-    enc.PutU64(pt.token);
-    enc.PutBytes(Slice(pt.vote_result));
-    enc.PutU32(static_cast<uint32_t>(pt.participants.size()));
-    for (uint32_t p : pt.participants) enc.PutU32(p);
-    enc.PutU32(static_cast<uint32_t>(pt.writes.size()));
-    for (const KvOp& w : pt.writes) enc.PutBytes(Slice(w.Encode()));
-    // Read locks can't be recomputed from the buffered writes, so state
-    // transfer must carry them explicitly (write_keys are rederived).
-    enc.PutU32(static_cast<uint32_t>(pt.read_keys.size()));
-    for (const std::string& k : pt.read_keys) enc.PutString(k);
-  }
+  EncodeShardWindow(&enc);
   enc.PutU64(outcomes_.size());
   for (const auto& [txn, o] : outcomes_) {
     enc.PutU32(txn.owner);
@@ -754,6 +832,58 @@ Buffer KvStateMachine::Snapshot() const {
     enc.PutU64(o.token);
   }
   return enc.Take();
+}
+
+void KvStateMachine::EncodeShardWindow(Encoder* enc) const {
+  enc->PutU64(next_stamp_);
+  enc->PutU64(stamp_results_.size());
+  for (const auto& [stamp, result] : stamp_results_) {
+    enc->PutU64(stamp);
+    enc->PutBytes(Slice(result));
+  }
+  enc->PutU64(prepared_.size());
+  for (const auto& [txn, pt] : prepared_) {
+    enc->PutU32(txn.owner);
+    enc->PutU64(txn.seq);
+    enc->PutU32(pt.owner);
+    enc->PutU64(pt.token);
+    enc->PutBytes(Slice(pt.vote_result));
+    enc->PutU32(static_cast<uint32_t>(pt.participants.size()));
+    for (uint32_t p : pt.participants) enc->PutU32(p);
+    enc->PutU32(static_cast<uint32_t>(pt.writes.size()));
+    for (const KvOp& w : pt.writes) enc->PutBytes(Slice(w.Encode()));
+    // Read locks can't be recomputed from the buffered writes, so state
+    // transfer must carry them explicitly (write_keys are rederived).
+    enc->PutU32(static_cast<uint32_t>(pt.read_keys.size()));
+    for (const std::string& k : pt.read_keys) enc->PutString(k);
+  }
+}
+
+Result<Buffer> KvStateMachine::SnapshotAt(uint64_t version) const {
+  if (version == version_) return Snapshot();
+  if (version > version_) {
+    return Status::InvalidArgument("snapshot version is ahead of the state");
+  }
+  KvStateMachine past = *this;
+  BFTLAB_RETURN_IF_ERROR(past.Rollback(version_ - version));
+  return past.Snapshot();
+}
+
+Digest KvStateMachine::StateCommitment() const {
+  // Everything Snapshot() encodes: the scalars and the bounded shard
+  // window whole, the per-key and per-outcome records through their sum.
+  Encoder enc;
+  enc.PutU64(version_);
+  enc.PutRaw(digest_.AsSlice());
+  EncodeShardWindow(&enc);
+  for (uint64_t limb : record_sum_.limbs) enc.PutU64(limb);
+  return Sha256::Hash(enc.buffer());
+}
+
+Result<Digest> KvStateMachine::SnapshotCommitment(Slice snapshot) const {
+  KvStateMachine restored;
+  BFTLAB_RETURN_IF_ERROR(restored.Restore(snapshot));
+  return restored.StateCommitment();
 }
 
 Status KvStateMachine::Restore(Slice snapshot) {
@@ -860,6 +990,7 @@ Status KvStateMachine::Restore(Slice snapshot) {
     BFTLAB_ASSIGN_OR_RETURN(o.token, dec.GetU64());
     outcomes.emplace(txn, o);
   }
+  if (!dec.Done()) return Status::Corruption("trailing bytes after snapshot");
   data_ = std::move(data);
   last_writes_ = std::move(last_writes);
   version_ = version;
@@ -869,6 +1000,7 @@ Status KvStateMachine::Restore(Slice snapshot) {
   stamp_results_ = std::move(stamp_results);
   prepared_ = std::move(prepared);
   outcomes_ = std::move(outcomes);
+  RecomputeRecordSum();
   return Status::Ok();
 }
 
@@ -894,19 +1026,17 @@ Status KvStateMachine::Rollback(uint64_t count) {
       }
     }
     if (entry.shard) {
-      ShardUndo& su = *entry.shard;
+      // Copied, not moved: a copy of this state machine may share it.
+      const ShardUndo& su = *entry.shard;
       if (su.outcome_inserted) outcomes_.erase(su.txn);
       if (su.prepared_inserted) prepared_.erase(su.txn);
-      if (su.prepared_erased) {
-        prepared_[su.txn] = std::move(su.erased_prepared);
-      }
+      if (su.prepared_erased) prepared_[su.txn] = su.erased_prepared;
       if (su.stamp_result_recorded) stamp_results_.erase(su.stamp);
-      if (su.evicted) {
-        stamp_results_[su.evicted_stamp] = std::move(su.evicted_result);
-      }
+      if (su.evicted) stamp_results_[su.evicted_stamp] = su.evicted_result;
       if (su.stamp_advanced) --next_stamp_;
     }
     digest_ = entry.old_digest;
+    record_sum_ = entry.old_sum;
     --version_;
   }
   return Status::Ok();

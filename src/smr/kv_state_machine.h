@@ -6,6 +6,7 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,6 +24,12 @@ namespace bftlab {
 ///   d_{i+1} = SHA256(d_i || op_i)
 /// and an undo log so speculative executions can be rolled back.
 ///
+/// StateCommitment() rests on an AdHash: the sum mod 2^256 of SHA-256
+/// over one record per key (its value and its last writer) and one per
+/// shard outcome. Each apply adds and removes the records of the keys its
+/// undo entry lists, so a checkpoint costs O(keys changed), not O(state)
+/// (DESIGN.md §14).
+///
 /// Payloads are either single KvOps or KvTxn transactions (DESIGN.md
 /// §10). A transaction executes all-or-nothing: sub-ops observe earlier
 /// writes of the same transaction, and a write-write conflict with
@@ -39,6 +46,9 @@ class KvStateMachine : public StateMachine {
   uint64_t version() const override { return version_; }
   Digest StateDigest() const override { return digest_; }
   Buffer Snapshot() const override;
+  Result<Buffer> SnapshotAt(uint64_t version) const override;
+  Digest StateCommitment() const override;
+  Result<Digest> SnapshotCommitment(Slice snapshot) const override;
   Status Restore(Slice snapshot) override;
   Status Rollback(uint64_t count) override;
   void TrimUndoHistory(uint64_t version) override;
@@ -95,6 +105,14 @@ class KvStateMachine : public StateMachine {
   static constexpr uint64_t kStampResultWindow = 128;
 
  private:
+  // Sum mod 2^256 of SHA-256 digests read as little-endian integers: an
+  // order-independent multiset hash that takes records in and out.
+  struct RecordSum {
+    uint64_t limbs[4] = {0, 0, 0, 0};
+    void Add(const Digest& record);
+    void Remove(const Digest& record);
+  };
+
   struct LastWrite {
     ClientId client = 0;
     uint64_t version = 0;  // version_ after the writing txn applied.
@@ -146,13 +164,32 @@ class KvStateMachine : public StateMachine {
   };
 
   // One entry per successful Apply (single op or whole transaction), the
-  // unit Replica::RollbackTo counts in.
+  // unit Replica::RollbackTo counts in. Retained checkpoints keep entries
+  // alive, so the rarely used shard part sits behind a pointer; it is
+  // read-only once the apply finishes, so copies of the state machine
+  // (SnapshotAt) share it.
   struct UndoEntry {
     uint64_t version = 0;  // Version after the apply.
     Digest old_digest;
+    RecordSum old_sum;
     std::vector<KeyUndo> keys;
-    std::optional<ShardUndo> shard;
+    std::shared_ptr<ShardUndo> shard;
   };
+
+  // Ends every successful apply: folds the records of the keys and the
+  // outcome `entry` lists into record_sum_, advances the version and the
+  // chain, and logs `entry` for Rollback.
+  void FinishApply(Slice operation, UndoEntry entry);
+  // AdHash records. `value`/`writer` are null when absent.
+  static Digest KeyRecord(const std::string& key, const std::string* value,
+                          const LastWrite* writer);
+  static Digest OutcomeRecord(const ShardTxnId& txn,
+                              const ShardOutcome& outcome);
+  // record_sum_ from scratch, over the current state (Restore).
+  void RecomputeRecordSum();
+  // The slot counter, retained stamped results and prepared txns, in
+  // snapshot encoding: the bounded shard state hashed whole.
+  void EncodeShardWindow(Encoder* enc) const;
 
   Result<Buffer> ApplyTxn(Slice operation, const KvTxn& txn);
   // Applies one sub-op against data_, recording a first-touch KeyUndo in
@@ -186,6 +223,9 @@ class KvStateMachine : public StateMachine {
   uint64_t version_ = 0;
   Digest digest_;  // Zero digest at version 0.
   std::deque<UndoEntry> undo_log_;
+  // AdHash over the key records (data_ and last_writes_) and the outcome
+  // records (outcomes_); StateCommitment() hashes it with the rest.
+  RecordSum record_sum_;
 
   // key -> last transactional writer; part of replicated state (it feeds
   // the deterministic abort decision) so it is snapshotted/restored and

@@ -64,11 +64,16 @@ Result<Batch> Batch::DecodeFrom(Decoder* dec) {
 }
 
 Digest Batch::ComputeDigest() const {
-  Encoder enc;
-  for (const auto& r : requests) {
-    enc.PutRaw(r.ComputeDigest().AsSlice());
-  }
-  return Sha256::Hash(enc.buffer());
+  std::vector<Digest> digests;
+  digests.reserve(requests.size());
+  for (const auto& r : requests) digests.push_back(r.ComputeDigest());
+  return DigestOf(digests);
+}
+
+Digest Batch::DigestOf(const std::vector<Digest>& request_digests) {
+  Sha256 h;
+  for (const Digest& d : request_digests) h.Update(d.AsSlice());
+  return h.Finalize();
 }
 
 size_t Batch::WireBytes() const {

@@ -62,6 +62,8 @@ struct Batch {
   static Result<Batch> DecodeFrom(Decoder* dec);
   /// Digest over the concatenated request digests.
   Digest ComputeDigest() const;
+  /// ComputeDigest() from request digests already computed, in order.
+  static Digest DigestOf(const std::vector<Digest>& request_digests);
   size_t WireBytes() const;
   bool empty() const { return requests.empty(); }
 };

@@ -47,6 +47,21 @@ class StateMachine {
   /// Serializes the full state (for checkpoints / state transfer).
   virtual Buffer Snapshot() const = 0;
 
+  /// Snapshot() as of an earlier `version` that the undo history still
+  /// reaches back to (version() itself always works). Checkpoint payloads
+  /// are built through this on demand.
+  virtual Result<Buffer> SnapshotAt(uint64_t version) const = 0;
+
+  /// Commitment to everything Snapshot() encodes: two state machines
+  /// commit to the same digest exactly when their Snapshot() bytes are
+  /// equal (up to hash collisions). Kept up to date as operations apply
+  /// and roll back, so reading it does not cost O(state).
+  virtual Digest StateCommitment() const = 0;
+
+  /// StateCommitment() of the state `snapshot` encodes, computed without
+  /// touching this state machine. Fails on a malformed snapshot.
+  virtual Result<Digest> SnapshotCommitment(Slice snapshot) const = 0;
+
   /// Replaces the state from a snapshot.
   virtual Status Restore(Slice snapshot) = 0;
 
@@ -54,8 +69,8 @@ class StateMachine {
   /// execution support). Fails if the undo history is shorter.
   virtual Status Rollback(uint64_t count) = 0;
 
-  /// Trims undo history below `version` (after commitment no rollback
-  /// past that point will be requested).
+  /// Trims undo history up to and including `version`: no rollback, and
+  /// no SnapshotAt(), will reach below it.
   virtual void TrimUndoHistory(uint64_t version) = 0;
 };
 

@@ -40,6 +40,25 @@ TEST(Sha256Test, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
+TEST(Sha256Test, PaddingBoundaries) {
+  // Lengths around the 55/56-byte point where the padding spills into a
+  // second block, and around whole blocks. Expected values: python3
+  // hashlib.sha256(b"a" * n).hexdigest().
+  const std::pair<size_t, const char*> kVectors[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+      {128, "6836cf13bac400e9105071cd6af47084dfacad4e5e302c94bfed24e013afb73e"},
+  };
+  for (const auto& [length, hex] : kVectors) {
+    EXPECT_EQ(Sha256::Hash(Slice(std::string(length, 'a'))).ToHex(), hex)
+        << "length=" << length;
+  }
+}
+
 TEST(Sha256Test, IncrementalMatchesOneShot) {
   std::string msg = "the quick brown fox jumps over the lazy dog and more";
   for (size_t split = 0; split <= msg.size(); ++split) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "common/codec.h"
+#include "protocols/common/base_messages.h"
 #include "protocols/common/cluster.h"
 #include "protocols/pbft/pbft_replica.h"
 
@@ -190,6 +194,174 @@ TEST(PbftTest, InDarkReplicaCatchesUpViaStateTransfer) {
   EXPECT_GT(cluster.replica(3).finalized_seq(), 0u);
   EXPECT_GE(cluster.metrics().counter("replica.state_transfers_completed"),
             1u);
+  EXPECT_TRUE(cluster.CheckAgreement().ok());
+  EXPECT_TRUE(cluster.CheckStateMachines().ok());
+}
+
+TEST(PbftTest, EveryRetainedCheckpointServesAVerifiedPayload) {
+  // Checkpoints store no payload: each is rebuilt from the live state and
+  // the undo history retained back to the oldest checkpoint, while
+  // execution has moved on past it.
+  ClusterConfig cfg = BaseConfig();
+  cfg.replica.checkpoint_interval = 8;
+  Cluster cluster = MakePbft(std::move(cfg));
+  ASSERT_TRUE(cluster.RunUntilCommits(100, Seconds(60)));
+  size_t checked = 0;
+  for (ReplicaId r = 0; r < 4; ++r) {
+    const Replica& replica = cluster.replica(r);
+    for (const auto& [seq, checkpoint] : replica.checkpoints().retained()) {
+      Result<Buffer> payload = replica.CheckpointPayload(seq);
+      ASSERT_TRUE(payload.ok()) << "replica " << r << " seq " << seq;
+      std::unique_ptr<Replica> seeded = MakePbftReplica(replica.config());
+      EXPECT_TRUE(seeded->SeedFromPayload(*payload, checkpoint.state_digest)
+                      .ok())
+          << "replica " << r << " seq " << seq;
+      EXPECT_EQ(seeded->state_machine().version(), checkpoint.version);
+      ++checked;
+    }
+    EXPECT_GT(replica.state_machine().version(),
+              replica.checkpoints().retained().begin()->second.version);
+  }
+  EXPECT_GE(checked, 4u);
+}
+
+// A state-transfer payload taken apart for forging: the reply cache, the
+// snapshot's data entries, and the rest of the snapshot and the switch
+// state verbatim.
+struct PayloadParts {
+  std::vector<std::tuple<uint64_t, uint64_t, Buffer>> replies;
+  Buffer snapshot_head;  // Version and chain digest.
+  std::vector<std::pair<std::string, std::string>> data;
+  Buffer snapshot_rest;
+  Buffer switch_state;
+
+  static PayloadParts Split(const Buffer& payload) {
+    PayloadParts parts;
+    Decoder dec{Slice(payload)};
+    const uint64_t replies = dec.GetU64().value();
+    for (uint64_t i = 0; i < replies; ++i) {
+      const uint64_t client = dec.GetU64().value();
+      const uint64_t timestamp = dec.GetU64().value();
+      parts.replies.emplace_back(client, timestamp, dec.GetBytes().value());
+    }
+    const Buffer snapshot = dec.GetBytes().value();
+    parts.switch_state = dec.GetRaw(dec.remaining()).value();
+    Decoder snap{Slice(snapshot)};
+    parts.snapshot_head = snap.GetRaw(8 + Digest::kSize).value();
+    const uint64_t entries = snap.GetU64().value();
+    for (uint64_t i = 0; i < entries; ++i) {
+      std::string key = snap.GetString().value();
+      parts.data.emplace_back(std::move(key), snap.GetString().value());
+    }
+    parts.snapshot_rest = snap.GetRaw(snap.remaining()).value();
+    return parts;
+  }
+
+  Buffer Encode() const {
+    Encoder snap;
+    snap.PutRaw(snapshot_head);
+    snap.PutU64(data.size());
+    for (const auto& [key, value] : data) {
+      snap.PutString(key);
+      snap.PutString(value);
+    }
+    snap.PutRaw(snapshot_rest);
+    Encoder enc;
+    enc.PutU64(replies.size());
+    for (const auto& [client, timestamp, result] : replies) {
+      enc.PutU64(client);
+      enc.PutU64(timestamp);
+      enc.PutBytes(result);
+    }
+    enc.PutBytes(snap.buffer());
+    enc.PutRaw(switch_state);
+    return enc.Take();
+  }
+};
+
+TEST(PbftTest, ForgedStateTransferPayloadsAreRejected) {
+  ClusterConfig cfg = BaseConfig(4, 1, 2);
+  cfg.replica.checkpoint_interval = 8;
+  Cluster cluster = MakePbft(std::move(cfg));
+  // Replica 3 is in the dark. The first state response sent to it is
+  // captured instead of delivered; from then on replica 3 hears only the
+  // responses this test sends it.
+  std::shared_ptr<const StateResponseMessage> honest;
+  const Message* allowed = nullptr;
+  bool isolated = true;
+  cluster.network().SetDelayInjector(
+      [&](NodeId from, NodeId to, const MessagePtr& msg,
+          bool* drop) -> std::optional<SimTime> {
+        if (msg.get() == allowed || !isolated) return std::nullopt;
+        if (to == 3 && !honest && msg->type() == kMsgStateResponse) {
+          honest = std::static_pointer_cast<const StateResponseMessage>(msg);
+        }
+        if (honest && (to == 3 || from == 3)) *drop = true;
+        return std::nullopt;
+      });
+  cluster.Start();
+  cluster.network().Partition({{0, 1, 2, kClientIdBase, kClientIdBase + 1},
+                               {3}},
+                              Seconds(5));
+  ASSERT_TRUE(cluster.RunUntilCommits(60, Seconds(5)));
+  for (int i = 0; i < 100 && !honest; ++i) cluster.RunFor(Millis(100));
+  ASSERT_TRUE(honest);
+
+  const Replica& dark = cluster.replica(3);
+  const Digest state_before = dark.state_machine().StateDigest();
+  const SequenceNumber executed_before = dark.last_executed();
+  auto send = [&](Buffer payload) {
+    auto msg = std::make_shared<StateResponseMessage>(
+        honest->seq(), honest->state_digest(), std::move(payload));
+    allowed = msg.get();
+    cluster.network().Send(0, 3, std::move(msg));
+    cluster.RunFor(Millis(50));
+    allowed = nullptr;
+  };
+  auto corrupt = [&] {
+    return cluster.metrics().counter("replica.state_transfer_corrupt");
+  };
+
+  const PayloadParts parts = PayloadParts::Split(honest->snapshot());
+  ASSERT_EQ(parts.Encode(), honest->snapshot());
+  ASSERT_FALSE(parts.data.empty());
+  ASSERT_FALSE(parts.replies.empty());
+  std::vector<std::pair<std::string, PayloadParts>> forgeries;
+  forgeries.emplace_back("flipped value byte", parts);
+  forgeries.back().second.data[0].second[0] ^= 1;
+  forgeries.emplace_back("dropped entry", parts);
+  forgeries.back().second.data.pop_back();
+  forgeries.emplace_back("added entry", parts);
+  forgeries.back().second.data.emplace_back("~forged", "1");
+  forgeries.emplace_back("altered reply-cache entry", parts);
+  std::get<1>(forgeries.back().second.replies[0]) += 1;
+  forgeries.emplace_back("altered switch state", parts);
+  Encoder pending;
+  pending.PutU64(1);
+  pending.PutString("hotstuff");
+  pending.PutU64(honest->seq());
+  pending.PutU64(honest->seq() + 8);
+  forgeries.back().second.switch_state = pending.Take();
+
+  for (const auto& [what, forged] : forgeries) {
+    const uint64_t corrupt_before = corrupt();
+    send(forged.Encode());
+    EXPECT_EQ(corrupt(), corrupt_before + 1) << what;
+    EXPECT_EQ(dark.state_machine().StateDigest(), state_before) << what;
+    EXPECT_EQ(dark.last_executed(), executed_before) << what;
+  }
+  EXPECT_FALSE(dark.switch_pending());
+
+  const uint64_t corrupt_before = corrupt();
+  send(honest->snapshot());
+  EXPECT_EQ(corrupt(), corrupt_before);
+  EXPECT_EQ(dark.last_executed(), honest->seq());
+  EXPECT_EQ(cluster.metrics().counter("replica.state_transfers_completed"),
+            1u);
+
+  isolated = false;
+  cluster.RunFor(Seconds(2));
+  EXPECT_GT(dark.finalized_seq(), honest->seq());
   EXPECT_TRUE(cluster.CheckAgreement().ok());
   EXPECT_TRUE(cluster.CheckStateMachines().ok());
 }

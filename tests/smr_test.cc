@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "common/rng.h"
 #include "crypto/keystore.h"
 #include "smr/checkpoint.h"
 #include "smr/kv_op.h"
 #include "smr/kv_state_machine.h"
 #include "smr/kv_txn.h"
 #include "smr/request.h"
+#include "smr/shard_op.h"
 
 namespace bftlab {
 namespace {
@@ -441,6 +446,15 @@ TEST(ExtractPayloadKeysTest, SingleOpsAndTxns) {
 
 // --- Checkpoints --------------------------------------------------------------
 
+// A checkpoint of `sm` as it stands, certified by its commitment.
+Checkpoint CheckpointOf(SequenceNumber seq, const StateMachine& sm) {
+  Checkpoint cp;
+  cp.seq = seq;
+  cp.state_digest = sm.StateCommitment();
+  cp.version = sm.version();
+  return cp;
+}
+
 TEST(CheckpointStoreTest, IntervalAndPredicate) {
   CheckpointStore store(10);
   EXPECT_FALSE(store.IsCheckpointSeq(0));
@@ -454,9 +468,9 @@ TEST(CheckpointStoreTest, AddGetMarkStableGc) {
   KvStateMachine sm;
   sm.Apply(KvOp::Put("a", "1"));
 
-  store.Add(10, sm.StateDigest(), sm.Snapshot());
-  store.Add(20, sm.StateDigest(), sm.Snapshot());
-  store.Add(30, sm.StateDigest(), sm.Snapshot());
+  store.Add(CheckpointOf(10, sm));
+  store.Add(CheckpointOf(20, sm));
+  store.Add(CheckpointOf(30, sm));
   EXPECT_EQ(store.RetainedCount(), 3u);
 
   EXPECT_EQ(store.MarkStable(20), 20u);
@@ -480,7 +494,7 @@ TEST(CheckpointStoreTest, MarkStableWithoutExactCheckpointBackfills) {
   CheckpointStore store(10);
   KvStateMachine sm;
   sm.Apply(KvOp::Put("a", "1"));
-  store.Add(10, sm.StateDigest(), sm.Snapshot());
+  store.Add(CheckpointOf(10, sm));
 
   // No checkpoint was recorded at 30; the one at 10 must survive GC.
   EXPECT_EQ(store.MarkStable(30), 30u);
@@ -492,7 +506,7 @@ TEST(CheckpointStoreTest, MarkStableWithoutExactCheckpointBackfills) {
   // A later checkpoint above the mark is unaffected and becomes the
   // stable one once marked.
   sm.Apply(KvOp::Put("b", "2"));
-  store.Add(40, sm.StateDigest(), sm.Snapshot());
+  store.Add(CheckpointOf(40, sm));
   EXPECT_EQ(store.MarkStable(40), 40u);
   ASSERT_TRUE(store.GetStable().ok());
   EXPECT_EQ(store.GetStable()->seq, 40u);
@@ -500,7 +514,7 @@ TEST(CheckpointStoreTest, MarkStableWithoutExactCheckpointBackfills) {
 
   // Marking stable with nothing retained at all still never strands a
   // previously stable checkpoint... there is none; GetStable reports
-  // NotFound rather than a stale or invalid snapshot.
+  // NotFound rather than a stale or invalid checkpoint.
   CheckpointStore empty(10);
   EXPECT_EQ(empty.MarkStable(20), 20u);
   EXPECT_FALSE(empty.GetStable().ok());
@@ -512,15 +526,207 @@ TEST(CheckpointStoreTest, RestoreFromStableCheckpoint) {
   for (int i = 0; i < 5; ++i) {
     sm.Apply(KvOp::Add("counter", 1));
   }
-  store.Add(5, sm.StateDigest(), sm.Snapshot());
+  store.Add(CheckpointOf(5, sm));
   store.MarkStable(5);
+  const Digest chain_at_checkpoint = sm.StateDigest();
+  // Execution moves on; the checkpoint's state is rebuilt from the undo
+  // history on demand.
+  sm.Apply(KvOp::Add("counter", 1));
+  sm.Apply(KvOp::Put("later", "x"));
 
   KvStateMachine trailing;
   Result<Checkpoint> cp = store.GetStable();
   ASSERT_TRUE(cp.ok());
-  ASSERT_TRUE(trailing.Restore(cp->snapshot).ok());
-  EXPECT_EQ(trailing.StateDigest(), sm.StateDigest());
+  Result<Buffer> snapshot = sm.SnapshotAt(cp->version);
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_TRUE(trailing.Restore(*snapshot).ok());
+  EXPECT_EQ(trailing.StateDigest(), chain_at_checkpoint);
+  EXPECT_EQ(trailing.StateCommitment(), cp->state_digest);
   EXPECT_EQ(trailing.Get("counter").value(), "5");
+  EXPECT_FALSE(trailing.Get("later").has_value());
+}
+
+// --- Incremental commitment ---------------------------------------------------
+
+// Random applies of every kind — single ops, committed and aborted txns,
+// stamped, prepared, decided and canceled shard ops — mixed with
+// rollbacks, restores and undo trims. After every step the maintained
+// commitment must equal one recomputed from scratch (Restore rebuilds it
+// from the snapshot), and SnapshotAt() must rebuild the Snapshot() bytes
+// captured at any version the undo history still reaches.
+TEST(StateCommitmentTest, MatchesFromScratchUnderRandomOps) {
+  Rng rng(17);
+  KvStateMachine sm;
+  sm.set_conflict_window(4);
+  // Snapshot() bytes by version, for versions the undo history reaches.
+  std::map<uint64_t, Buffer> captured = {{0, sm.Snapshot()}};
+  std::vector<Buffer> restore_points = {sm.Snapshot()};
+  std::vector<ShardTxnId> prepared;
+  uint64_t next_txn = 1;
+  uint64_t rollbacks = 0, restores = 0;
+
+  auto key = [&] {
+    std::string k = "k";
+    k += std::to_string(rng.NextBelow(12));
+    return k;
+  };
+  auto owner = [&] {
+    return static_cast<ClientId>(kClientIdBase + rng.NextBelow(3));
+  };
+  auto sub_ops = [&] {
+    std::vector<KvOp> ops;
+    const uint64_t n = 1 + rng.NextBelow(3);
+    for (uint64_t i = 0; i < n; ++i) {
+      switch (rng.NextBelow(4)) {
+        case 0:
+          ops.push_back(TxnGet(key()));
+          break;
+        case 1:
+          ops.push_back(TxnAdd(key(), static_cast<int64_t>(rng.NextBelow(9))));
+          break;
+        case 2: {
+          KvOp del;
+          del.code = KvOpCode::kDelete;
+          del.key = key();
+          ops.push_back(del);
+          break;
+        }
+        default:
+          ops.push_back(TxnPut(key(), std::to_string(rng.NextBelow(1000))));
+      }
+    }
+    return ops;
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    const uint64_t action = rng.NextBelow(100);
+    bool applied = true;
+    if (action < 12) {
+      sm.Apply(KvOp::Put(key(), std::to_string(rng.NextBelow(1000))));
+    } else if (action < 18) {
+      sm.Apply(KvOp::Delete(key()));
+    } else if (action < 24) {
+      sm.Apply(KvOp::Add(key(), static_cast<int64_t>(rng.NextBelow(5))));
+    } else if (action < 44) {
+      sm.Apply(MakeTxn(owner(), sub_ops()).Encode());
+    } else if (action < 54) {
+      ShardOp op;
+      op.type = ShardOpType::kStamped;
+      op.txn = {owner(), next_txn++};
+      // Mostly the next slot; sometimes a gap or a consumed slot.
+      op.stamp = sm.next_stamp() + rng.NextBelow(3) - 1;
+      op.participants = rng.NextBool(0.5) ? std::vector<uint32_t>{0}
+                                          : std::vector<uint32_t>{0, 1};
+      op.sub = MakeTxn(op.txn.owner, sub_ops());
+      sm.Apply(op.Encode());
+    } else if (action < 62) {
+      ShardOp op;
+      op.type = ShardOpType::kPrepare;
+      op.txn = {owner(), next_txn++};
+      op.stamp = rng.NextBool(0.5) ? 0 : sm.next_stamp();
+      op.participants = {0, 1};
+      op.sub = MakeTxn(op.txn.owner, sub_ops());
+      sm.Apply(op.Encode());
+      prepared.push_back(op.txn);
+    } else if (action < 70 && !prepared.empty()) {
+      const size_t i = rng.NextBelow(prepared.size());
+      ShardOp op;
+      op.type = ShardOpType::kDecision;
+      op.txn = prepared[i];
+      op.commit = rng.NextBool(0.6);
+      if (op.commit) {
+        for (uint32_t p : {0u, 1u}) {
+          op.cert.push_back({p, true, ShardVoteToken(op.txn, p, true)});
+        }
+      } else {
+        op.cert.push_back({1, false, ShardVoteToken(op.txn, 1, false)});
+      }
+      sm.Apply(op.Encode());
+      prepared.erase(prepared.begin() + static_cast<ptrdiff_t>(i));
+    } else if (action < 74) {
+      ShardOp op;
+      op.type = ShardOpType::kCancel;
+      op.txn = {owner(), rng.NextBelow(next_txn + 2)};
+      sm.Apply(op.Encode());
+    } else if (action < 86) {
+      applied = false;
+      const uint64_t depth = sm.version() - captured.begin()->first;
+      const uint64_t count = rng.NextBelow(std::min<uint64_t>(depth, 6) + 1);
+      ASSERT_TRUE(sm.Rollback(count).ok());
+      captured.erase(captured.upper_bound(sm.version()), captured.end());
+      ASSERT_EQ(sm.Snapshot(), captured.at(sm.version())) << "step " << step;
+      rollbacks += count > 0;
+    } else if (action < 89) {
+      applied = false;
+      const Buffer& point = restore_points[rng.NextBelow(restore_points.size())];
+      ASSERT_TRUE(sm.Restore(point).ok());
+      captured = {{sm.version(), point}};
+      ++restores;
+    } else if (action < 92) {
+      applied = false;
+      const uint64_t oldest = captured.begin()->first;
+      const uint64_t trim = oldest + rng.NextBelow(sm.version() - oldest + 1);
+      sm.TrimUndoHistory(trim);
+      captured.erase(captured.begin(), captured.lower_bound(trim));
+    } else {
+      applied = false;
+    }
+
+    const Buffer snapshot = sm.Snapshot();
+    if (applied) captured[sm.version()] = snapshot;
+    if (step % 50 == 0) restore_points.push_back(snapshot);
+
+    KvStateMachine fresh;
+    ASSERT_TRUE(fresh.Restore(snapshot).ok());
+    ASSERT_EQ(sm.StateCommitment(), fresh.StateCommitment()) << "step " << step;
+    Result<Digest> of_snapshot = sm.SnapshotCommitment(snapshot);
+    ASSERT_TRUE(of_snapshot.ok());
+    ASSERT_EQ(*of_snapshot, sm.StateCommitment()) << "step " << step;
+
+    auto older = captured.begin();
+    std::advance(older, static_cast<ptrdiff_t>(rng.NextBelow(captured.size())));
+    Result<Buffer> rebuilt = sm.SnapshotAt(older->first);
+    ASSERT_TRUE(rebuilt.ok()) << "step " << step;
+    ASSERT_EQ(*rebuilt, older->second) << "step " << step << " version "
+                                       << older->first;
+  }
+  // The mix reached every path it is meant to cover.
+  EXPECT_GT(rollbacks, 100u);
+  EXPECT_GT(restores, 20u);
+  EXPECT_GT(sm.txn_commits(), 100u);
+  EXPECT_GT(sm.txn_aborts(), 0u);
+  EXPECT_FALSE(sm.shard_outcomes().empty());
+}
+
+TEST(StateCommitmentTest, CoversValuesAndLastWriters) {
+  // States that share version and chain digest but differ in one key's
+  // value or last writer, built by editing one snapshot byte: only the
+  // key records tell them apart.
+  KvStateMachine sm;
+  sm.Apply(KvOp::Put("a", "1"));
+  sm.Apply(MakeTxn(kClientIdBase, {TxnPut("b", "2")}).Encode());
+  const Buffer snapshot = sm.Snapshot();
+  // Layout: version (8), chain digest (32), entry count (8), then
+  // length-prefixed key and value per entry ("a"="1", "b"="2"), then the
+  // writer count (8) and per writer its key ("b"), client and version.
+  const size_t entries = 8 + Digest::kSize + 8;
+  const size_t value_a = entries + 4 + 1 + 4;
+  const size_t writer_b = entries + 2 * (4 + 1 + 4 + 1) + 8 + 4 + 1;
+  ASSERT_EQ(snapshot[value_a], '1');
+  ASSERT_EQ(snapshot[writer_b - 1], 'b');
+  for (size_t offset : {value_a, writer_b}) {
+    Buffer edited = snapshot;
+    edited[offset] ^= 1;
+    KvStateMachine restored;
+    ASSERT_TRUE(restored.Restore(edited).ok());
+    EXPECT_EQ(restored.StateDigest(), sm.StateDigest());
+    EXPECT_NE(restored.StateCommitment(), sm.StateCommitment())
+        << "offset " << offset;
+  }
+  // A snapshot with bytes appended is malformed, not an equal state.
+  Buffer extended = snapshot;
+  extended.push_back(0);
+  EXPECT_FALSE(sm.SnapshotCommitment(extended).ok());
 }
 
 }  // namespace

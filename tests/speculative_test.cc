@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "protocols/common/base_messages.h"
 #include "protocols/common/cluster.h"
 #include "protocols/poe/poe_replica.h"
 #include "protocols/sbft/sbft_replica.h"
 #include "protocols/zyzzyva/zyzzyva_replica.h"
+#include "smr/kv_op.h"
+#include "smr/kv_state_machine.h"
 
 namespace bftlab {
 namespace {
@@ -176,6 +181,95 @@ TEST(PoeTest, WithheldCertificateForcesRollback) {
   // After rollback + re-execution, correct replicas agree.
   EXPECT_TRUE(cluster.CheckAgreement().ok());
   EXPECT_TRUE(cluster.CheckStateMachines().ok());
+}
+
+// A PoE replica whose base-class execution pipeline the test drives
+// directly.
+class PoeProbe : public PoeReplica {
+ public:
+  using PoeReplica::PoeReplica;
+  using Replica::Deliver;
+  using Replica::FinalizeUpTo;
+  using Replica::RollbackTo;
+};
+
+std::unique_ptr<Replica> MakePoeProbe(const ReplicaConfig& config) {
+  ReplicaConfig cfg = config;
+  cfg.auth = AuthScheme::kThreshold;
+  return std::make_unique<PoeProbe>(cfg, std::make_unique<KvStateMachine>());
+}
+
+Batch PutBatch(SequenceNumber seq, const std::string& value) {
+  ClientRequest request;
+  request.client = kClientIdBase;
+  request.timestamp = seq;
+  request.operation = KvOp::Put("key" + std::to_string(seq), value);
+  Batch batch;
+  batch.requests.push_back(std::move(request));
+  return batch;
+}
+
+TEST(PoeTest, RollbackPastCheckpointKeepsItsPayload) {
+  // PoE takes its checkpoint when it finalizes, and by then the state may
+  // hold speculative executions past the checkpoint's seq. Rolling those
+  // back must not change the payload the checkpoint certifies, though it
+  // is built on demand.
+  ClusterConfig cfg = BaseConfig(4, 1, 1);
+  cfg.replica.checkpoint_interval = 4;
+  Cluster cluster(std::move(cfg), MakePoeProbe);
+  PoeProbe& probe = static_cast<PoeProbe&>(cluster.replica(1));
+  for (SequenceNumber seq = 1; seq <= 6; ++seq) {
+    probe.Deliver(seq, PutBatch(seq, "first"), /*speculative=*/true);
+  }
+  probe.FinalizeUpTo(4);
+  Result<Checkpoint> checkpoint = probe.checkpoints().Get(4);
+  ASSERT_TRUE(checkpoint.ok());
+  EXPECT_EQ(checkpoint->version, 6u);  // Includes the speculative 5 and 6.
+  const Buffer snapshot_when_taken = probe.state_machine().Snapshot();
+  Result<Buffer> taken = probe.CheckpointPayload(4);
+  ASSERT_TRUE(taken.ok());
+  EXPECT_NE(std::search(taken->begin(), taken->end(),
+                        snapshot_when_taken.begin(), snapshot_when_taken.end()),
+            taken->end());
+
+  // The rollback undoes versions 5 and 6, past the captured version; the
+  // re-executed suffix differs.
+  ASSERT_TRUE(probe.RollbackTo(4).ok());
+  for (SequenceNumber seq = 5; seq <= 7; ++seq) {
+    probe.Deliver(seq, PutBatch(seq, "second"), /*speculative=*/true);
+  }
+  probe.FinalizeUpTo(7);
+  Result<Buffer> rebuilt = probe.CheckpointPayload(4);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(*rebuilt, *taken);
+
+  // The payload a state request is served matches too, and it verifies
+  // against the checkpoint digest when it seeds a replica.
+  std::shared_ptr<const StateResponseMessage> served;
+  cluster.network().SetDelayInjector(
+      [&](NodeId, NodeId, const MessagePtr& msg,
+          bool* drop) -> std::optional<SimTime> {
+        if (msg->type() == kMsgStateResponse) {
+          served = std::static_pointer_cast<const StateResponseMessage>(msg);
+          *drop = true;
+        }
+        return std::nullopt;
+      });
+  probe.OnMessage(2, std::make_shared<StateRequestMessage>(4, 2));
+  ASSERT_TRUE(served);
+  EXPECT_EQ(served->snapshot(), *taken);
+  EXPECT_EQ(served->state_digest(), checkpoint->state_digest);
+  std::unique_ptr<Replica> seeded = MakePoeProbe(probe.config());
+  EXPECT_TRUE(seeded->SeedFromPayload(*taken, checkpoint->state_digest).ok());
+  EXPECT_EQ(seeded->state_machine().Snapshot(), snapshot_when_taken);
+
+  // A payload that does not match the digest seeds nothing.
+  Buffer forged = *taken;
+  forged[forged.size() / 2] ^= 1;
+  std::unique_ptr<Replica> refused = MakePoeProbe(probe.config());
+  EXPECT_FALSE(
+      refused->SeedFromPayload(forged, checkpoint->state_digest).ok());
+  EXPECT_EQ(refused->state_machine().version(), 0u);
 }
 
 // --- FaB / CheapBFT are covered in optimistic_test.cc ---
