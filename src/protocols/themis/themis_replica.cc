@@ -18,7 +18,7 @@ void ThemisReplica::Start() {
   SetTimer(options_.round_us, kRoundTimer);
 }
 
-void ThemisReplica::OnClientRequest(NodeId from,
+void ThemisReplica::OnClientRequest(NodeId /*from*/,
                                     const ClientRequest& request) {
   // Record the local receive order (clients broadcast to all replicas).
   Digest digest = request.ComputeDigest();

@@ -135,7 +135,9 @@ TEST(ObsTest, PbftSpansCoverOrderingPhases) {
   std::set<std::string> closed_at_node0;
   for (const Span& s : AssembleSpans(tracer.events())) {
     if (s.node == 0 && s.closed) closed_at_node0.insert(s.label);
-    if (s.closed) EXPECT_LE(s.begin_us, s.end_us);
+    if (s.closed) {
+      EXPECT_LE(s.begin_us, s.end_us);
+    }
   }
   EXPECT_TRUE(closed_at_node0.count("preprepare"));
   EXPECT_TRUE(closed_at_node0.count("prepare"));
