@@ -12,8 +12,8 @@ void UncheckedVotePbftReplica::OnProtocolMessage(NodeId from,
   // produce prepare/commit quorums for different batches at one sequence.
   if (msg->type() == kPbftPrepare) {
     const auto& m = static_cast<const PrepareMessage&>(*msg);
-    const Instance& inst = instance(m.seq());
-    if (inst.has_pre_prepare && !(m.digest() == inst.digest)) {
+    const Slot& inst = slot(m.seq());
+    if (inst.has_proposal && !(m.digest() == inst.digest)) {
       auto laundered = std::make_shared<PrepareMessage>(
           m.view(), m.seq(), inst.digest, m.replica(), m.auth_wire_bytes());
       PbftReplica::OnProtocolMessage(from, laundered);
@@ -21,8 +21,8 @@ void UncheckedVotePbftReplica::OnProtocolMessage(NodeId from,
     }
   } else if (msg->type() == kPbftCommit) {
     const auto& m = static_cast<const CommitMessage&>(*msg);
-    const Instance& inst = instance(m.seq());
-    if (inst.has_pre_prepare && !(m.digest() == inst.digest)) {
+    const Slot& inst = slot(m.seq());
+    if (inst.has_proposal && !(m.digest() == inst.digest)) {
       auto laundered = std::make_shared<CommitMessage>(
           m.view(), m.seq(), inst.digest, m.replica(), m.auth_wire_bytes());
       PbftReplica::OnProtocolMessage(from, laundered);

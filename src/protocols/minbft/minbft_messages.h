@@ -14,6 +14,7 @@
 #include "crypto/digest.h"
 #include "crypto/keystore.h"
 #include "crypto/trusted.h"
+#include "protocols/common/stable_leader_messages.h"
 #include "sim/message.h"
 #include "smr/request.h"
 
@@ -117,125 +118,73 @@ class MinCommitMessage : public Message {
   UniqueIdentifier ui_;
 };
 
-/// An accepted-prepare certificate carried inside a view-change message.
-struct MinPreparedProof {
-  SequenceNumber seq = 0;
-  ViewNumber view = 0;
-  Batch batch;
-  Digest digest;
-
-  void EncodeTo(Encoder* enc) const {
-    enc->PutU64(seq);
-    enc->PutU64(view);
-    batch.EncodeTo(enc);
-    enc->PutRaw(digest.AsSlice());
-  }
-};
-
 /// Replica's declaration that view `new_view - 1` failed. UI-certified, so
 /// a replica whose counter was rolled back cannot join view-change quorums
-/// with stale identifiers.
-class MinViewChangeMessage : public Message {
+/// with stale identifiers. Its certificates are the accepted prepares.
+class MinViewChangeMessage : public ViewChangeBase {
  public:
   MinViewChangeMessage(ViewNumber new_view, ReplicaId replica,
                        SequenceNumber stable_seq,
-                       std::vector<MinPreparedProof> prepared,
+                       std::vector<PreparedProof> prepared,
                        UniqueIdentifier ui)
-      : new_view_(new_view),
-        replica_(replica),
-        stable_seq_(stable_seq),
-        prepared_(std::move(prepared)),
+      : ViewChangeBase(new_view, replica, stable_seq, std::move(prepared)),
         ui_(ui) {}
 
-  ViewNumber new_view() const { return new_view_; }
-  ReplicaId replica() const { return replica_; }
-  SequenceNumber stable_seq() const { return stable_seq_; }
-  const std::vector<MinPreparedProof>& prepared() const { return prepared_; }
   const UniqueIdentifier& ui() const { return ui_; }
 
   uint32_t type() const override { return kMinViewChange; }
   void EncodeTo(Encoder* enc) const override {
     enc->PutU32(kMinViewChange);
-    enc->PutU64(new_view_);
-    enc->PutU32(replica_);
-    enc->PutU64(stable_seq_);
-    enc->PutU32(static_cast<uint32_t>(prepared_.size()));
-    for (const auto& p : prepared_) p.EncodeTo(enc);
+    EncodeFields(enc);
     EncodeUniqueIdentifier(enc, ui_);
   }
   size_t auth_wire_bytes() const override {
     // Own UI + channel MAC + the prepare UI backing each certificate.
-    return kUiCertBytes + kMacBytes + prepared_.size() * kUiCertBytes;
+    return kUiCertBytes + kMacBytes + prepared().size() * kUiCertBytes;
   }
   std::string DebugString() const override {
-    std::ostringstream os;
-    os << "MIN-VIEW-CHANGE{v=" << new_view_ << " replica=" << replica_
-       << " stable=" << stable_seq_ << " prepared=" << prepared_.size()
-       << "}";
-    return os.str();
+    return Describe("MIN-VIEW-CHANGE");
   }
 
  private:
-  ViewNumber new_view_;
-  ReplicaId replica_;
-  SequenceNumber stable_seq_;
-  std::vector<MinPreparedProof> prepared_;
   UniqueIdentifier ui_;
 };
 
 /// New leader's installation message. Its UI becomes the base of the new
 /// view's affine seq<->counter binding (DESIGN.md §15): the k-th
 /// re-proposal after `base_seq` must carry counter ui.counter + k.
-class MinNewViewMessage : public Message {
+class MinNewViewMessage : public NewViewBase {
  public:
-  struct Proposal {
-    SequenceNumber seq = 0;
-    Batch batch;
-    Digest digest;
-  };
-
   MinNewViewMessage(ViewNumber new_view, SequenceNumber base_seq,
                     std::vector<Proposal> proposals,
                     size_t view_change_proof_bytes, UniqueIdentifier ui)
-      : new_view_(new_view),
+      : NewViewBase(new_view, std::move(proposals), view_change_proof_bytes),
         base_seq_(base_seq),
-        proposals_(std::move(proposals)),
-        proof_bytes_(view_change_proof_bytes),
         ui_(ui) {}
 
-  ViewNumber new_view() const { return new_view_; }
   SequenceNumber base_seq() const { return base_seq_; }
-  const std::vector<Proposal>& proposals() const { return proposals_; }
   const UniqueIdentifier& ui() const { return ui_; }
 
   uint32_t type() const override { return kMinNewView; }
   void EncodeTo(Encoder* enc) const override {
     enc->PutU32(kMinNewView);
-    enc->PutU64(new_view_);
+    enc->PutU64(new_view());
     enc->PutU64(base_seq_);
-    enc->PutU32(static_cast<uint32_t>(proposals_.size()));
-    for (const auto& p : proposals_) {
-      enc->PutU64(p.seq);
-      p.batch.EncodeTo(enc);
-      enc->PutRaw(p.digest.AsSlice());
-    }
+    EncodeProposals(enc);
     EncodeUniqueIdentifier(enc, ui_);
   }
   size_t auth_wire_bytes() const override {
-    return kUiCertBytes + kMacBytes + proof_bytes_;
+    return kUiCertBytes + kMacBytes + proof_bytes();
   }
   std::string DebugString() const override {
     std::ostringstream os;
-    os << "MIN-NEW-VIEW{v=" << new_view_ << " base=" << base_seq_
-       << " proposals=" << proposals_.size() << "}";
+    os << "MIN-NEW-VIEW{v=" << new_view() << " base=" << base_seq_
+       << " proposals=" << proposals().size() << "}";
     return os.str();
   }
 
  private:
-  ViewNumber new_view_;
   SequenceNumber base_seq_;
-  std::vector<Proposal> proposals_;
-  size_t proof_bytes_;
   UniqueIdentifier ui_;
 };
 

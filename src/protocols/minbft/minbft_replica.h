@@ -42,28 +42,17 @@
 #include <vector>
 
 #include "crypto/trusted.h"
-#include "protocols/common/quorum.h"
-#include "protocols/common/replica.h"
+#include "protocols/common/stable_leader_replica.h"
 #include "protocols/minbft/minbft_messages.h"
 
 namespace bftlab {
 
-class MinBftReplica : public Replica {
+class MinBftReplica : public StableLeaderReplica {
  public:
   MinBftReplica(ReplicaConfig config,
                 std::unique_ptr<StateMachine> state_machine);
 
   std::string name() const override { return "minbft"; }
-  ViewNumber view() const override { return view_; }
-  ReplicaId leader() const override {
-    return static_cast<ReplicaId>(view_ % n());
-  }
-  ReplicaId LeaderOf(ViewNumber v) const {
-    return static_cast<ReplicaId>(v % n());
-  }
-
-  bool view_changing() const { return view_changing_; }
-  uint64_t view_changes_completed() const { return view_changes_completed_; }
 
   TrustedCounter* trusted_counter() override {
     return usig_ ? &*usig_ : nullptr;
@@ -75,12 +64,7 @@ class MinBftReplica : public Replica {
   size_t VoteStateSize() const override;
 
  protected:
-  void OnClientRequest(NodeId from, const ClientRequest& request) override;
   void OnProtocolMessage(NodeId from, const MessagePtr& msg) override;
-  void OnCheckpointStable(SequenceNumber seq) override;
-  void OnRequestExecuted(const ClientRequest& request,
-                         bool speculative) override;
-  void OnStateTransferComplete(SequenceNumber seq) override;
   uint64_t ProtocolStateFingerprint() const override;
 
   /// With non-equivocating replicas, f+1 matching statements always
@@ -89,11 +73,21 @@ class MinBftReplica : public Replica {
   /// default of (n+f+2)/2 = n with one crash).
   uint32_t AgreementQuorum() const override { return QuorumF1(); }
 
-  // Timer tags.
-  static constexpr uint64_t kViewChangeTimer = kProtocolTimerBase + 0;
-  static constexpr uint64_t kBatchTimer = kProtocolTimerBase + 1;
-  static constexpr uint64_t kDelayedProposeTimer = kProtocolTimerBase + 2;
-  static constexpr uint64_t kProgressTimer = kProtocolTimerBase + 3;
+  void SendProposal(SequenceNumber seq, Batch batch) override;
+  MessagePtr MakeProposal(SequenceNumber seq, Batch batch) override;
+  void RetransmitProposal(SequenceNumber seq, const Slot& slot) override;
+  std::shared_ptr<const ViewChangeBase> MakeViewChange(
+      ViewNumber new_view, std::vector<PreparedProof> proofs) override;
+  bool VerifyViewChange(const ViewChangeBase& vc) override;
+  std::shared_ptr<const NewViewBase> MakeNewView(
+      ViewNumber new_view, SequenceNumber base_seq,
+      std::vector<Proposal> proposals, size_t proof_bytes) override;
+  bool VerifyNewView(NodeId from, const NewViewBase& nv) override;
+  size_t ComplementaryJoinQuorum() const override;
+  bool ReannounceOnComplementaryJoin() const override { return true; }
+  SequenceNumber BeginView(const NewViewBase& nv) override;
+  void Reprepare(const Proposal& p, Slot* slot) override;
+
   /// Trusted-counter compromise trigger (kCounterRollback/kCounterFork).
   static constexpr uint64_t kCounterFaultTimer = kProtocolTimerBase + 4;
 
@@ -111,18 +105,6 @@ class MinBftReplica : public Replica {
   static constexpr uint64_t kWithholdStride = kMaxUiHoles + 16;
 
  private:
-  struct Instance {
-    Batch batch;
-    Digest digest;
-    bool has_prepare = false;
-    bool committed = false;
-    bool commit_sent = false;
-    /// The leader's prepare identifier; retransmissions must match it
-    /// exactly (re-certifying would break the affine binding).
-    UniqueIdentifier prepare_ui;
-    std::map<Digest, VoterSet> commit_votes;
-  };
-
   /// Per-sender UI freshness state (see class comment).
   struct UiWatermark {
     uint64_t epoch = 0;
@@ -137,43 +119,22 @@ class MinBftReplica : public Replica {
     Batch batch;
   };
 
-  void ProposeAvailable();
-  void ProposeBatch(Batch batch);
-  bool ByzantinePropose(SequenceNumber seq, Batch& batch);
   void HandlePrepare(NodeId from, const MinPrepareMessage& msg);
   void HandleCommit(NodeId from, const MinCommitMessage& msg);
-  void HandleViewChange(NodeId from, const MinViewChangeMessage& msg);
-  void HandleNewView(NodeId from, const MinNewViewMessage& msg);
   void CheckCommitted(SequenceNumber seq);
   void SendCommitVote(SequenceNumber seq, const Digest& digest);
 
   /// Freshness check + watermark update for a tag-valid UI. False means
   /// the identifier was already consumed or fell out of the hole window.
   bool AcceptUi(const UniqueIdentifier& ui);
+  /// With UI verification on: `ui` must be `signer`'s valid certificate
+  /// of `binding` and fresh (AcceptUi). Counts and drops failures.
+  bool CheckUi(NodeId signer, const UniqueIdentifier& ui,
+               const Digest& binding);
   UniqueIdentifier CertifyPrepare(SequenceNumber seq, const Digest& digest);
-
-  void StartViewChange(ViewNumber new_view);
-  std::shared_ptr<MinViewChangeMessage> BuildViewChange(ViewNumber new_view);
-  void NoteViewEvidence(ReplicaId sender, ViewNumber w);
-  void MaybeAssembleNewView(ViewNumber new_view);
-  void EnterNewView(ViewNumber new_view, SequenceNumber base_seq,
-                    const std::vector<MinNewViewMessage::Proposal>& proposals,
-                    const UniqueIdentifier& nv_ui);
-
-  void ArmViewChangeTimerIfNeeded();
-  void DisarmViewChangeTimer();
-  void ArmProgressTimerIfNeeded();
-  SequenceNumber OldestUnexecutedInstance() const;
 
   /// kCounterRollback: replay withheld identifiers over altered batches.
   void ExecuteCounterRollback();
-
-  ViewNumber view_ = 0;
-  SequenceNumber next_seq_ = 1;
-  std::map<SequenceNumber, Instance> instances_;
-  std::map<SequenceNumber, std::pair<Digest, Batch>> committed_log_;
-  static constexpr ViewNumber kCommittedProofView =
-      ~static_cast<ViewNumber>(0);
 
   /// This replica's trusted counter. Engaged in Start() (the KeyStore is
   /// only reachable once the crypto context is bound); like all replica
@@ -189,23 +150,6 @@ class MinBftReplica : public Replica {
   SequenceNumber base_seq_ = 0;
 
   std::map<ReplicaId, UiWatermark> ui_high_;
-
-  // View-change state (PBFT-shaped; see pbft_replica.cc).
-  bool view_changing_ = false;
-  ViewNumber target_view_ = 0;
-  std::map<ViewNumber, std::map<ReplicaId, MinViewChangeMessage>>
-      view_changes_;
-  SimTime current_vc_timeout_us_ = 0;
-  EventId view_change_timer_ = kInvalidEvent;
-  uint64_t view_changes_completed_ = 0;
-  std::map<ViewNumber, VoterSet> view_evidence_;
-  ViewNumber asked_view_ = 0;
-  std::shared_ptr<MinNewViewMessage> last_new_view_;
-
-  EventId batch_timer_ = kInvalidEvent;
-  EventId progress_timer_ = kInvalidEvent;
-  bool delayed_propose_pending_ = false;
-  Digest vc_watch_;
 
   // Trusted-counter compromise scripts.
   std::map<SequenceNumber, WithheldPrepare> withheld_;

@@ -11,6 +11,7 @@
 
 #include "crypto/digest.h"
 #include "crypto/keystore.h"
+#include "protocols/common/stable_leader_messages.h"
 #include "sim/message.h"
 #include "smr/request.h"
 
@@ -158,115 +159,51 @@ class CommitMessage : public Message {
   size_t auth_bytes_;
 };
 
-/// A prepared certificate carried inside a view-change message: the batch
-/// that was prepared at (view, seq) plus (accounted) 2f+1 prepare
-/// signatures proving it.
-struct PreparedProof {
-  SequenceNumber seq = 0;
-  ViewNumber view = 0;
-  Batch batch;
-  Digest digest;
-
-  void EncodeTo(Encoder* enc) const {
-    enc->PutU64(seq);
-    enc->PutU64(view);
-    batch.EncodeTo(enc);
-    enc->PutRaw(digest.AsSlice());
-  }
-};
-
-/// Replica's declaration that view `new_view - 1` failed, carrying its
-/// stable checkpoint and prepared certificates (the P set).
-class ViewChangeMessage : public Message {
+/// VIEW-CHANGE: own signature plus the 2f+1 prepare signatures behind
+/// each prepared certificate.
+class ViewChangeMessage : public ViewChangeBase {
  public:
   ViewChangeMessage(ViewNumber new_view, ReplicaId replica,
                     SequenceNumber stable_seq,
                     std::vector<PreparedProof> prepared, uint32_t quorum_2f1)
-      : new_view_(new_view),
-        replica_(replica),
-        stable_seq_(stable_seq),
-        prepared_(std::move(prepared)),
+      : ViewChangeBase(new_view, replica, stable_seq, std::move(prepared)),
         quorum_2f1_(quorum_2f1) {}
-
-  ViewNumber new_view() const { return new_view_; }
-  ReplicaId replica() const { return replica_; }
-  SequenceNumber stable_seq() const { return stable_seq_; }
-  const std::vector<PreparedProof>& prepared() const { return prepared_; }
 
   uint32_t type() const override { return kPbftViewChange; }
   void EncodeTo(Encoder* enc) const override {
     enc->PutU32(kPbftViewChange);
-    enc->PutU64(new_view_);
-    enc->PutU32(replica_);
-    enc->PutU64(stable_seq_);
-    enc->PutU32(static_cast<uint32_t>(prepared_.size()));
-    for (const auto& p : prepared_) p.EncodeTo(enc);
+    EncodeFields(enc);
   }
   size_t auth_wire_bytes() const override {
-    // Own signature + 2f+1 prepare signatures per prepared certificate.
     return kSignatureBytes +
-           prepared_.size() * quorum_2f1_ * kSignatureBytes;
+           prepared().size() * quorum_2f1_ * kSignatureBytes;
   }
-  std::string DebugString() const override {
-    std::ostringstream os;
-    os << "VIEW-CHANGE{v=" << new_view_ << " replica=" << replica_
-       << " stable=" << stable_seq_ << " prepared=" << prepared_.size()
-       << "}";
-    return os.str();
-  }
+  std::string DebugString() const override { return Describe("VIEW-CHANGE"); }
 
  private:
-  ViewNumber new_view_;
-  ReplicaId replica_;
-  SequenceNumber stable_seq_;
-  std::vector<PreparedProof> prepared_;
   uint32_t quorum_2f1_;
 };
 
-/// New leader's installation message for `new_view`: the proposals (O set)
-/// to re-run, justified by 2f+1 view-change messages (accounted in size).
-class NewViewMessage : public Message {
+/// NEW-VIEW: the leader's signature plus the view changes justifying it.
+class NewViewMessage : public NewViewBase {
  public:
-  struct Proposal {
-    SequenceNumber seq = 0;
-    Batch batch;
-    Digest digest;
-  };
-
-  NewViewMessage(ViewNumber new_view, std::vector<Proposal> proposals,
-                 size_t view_change_proof_bytes)
-      : new_view_(new_view),
-        proposals_(std::move(proposals)),
-        proof_bytes_(view_change_proof_bytes) {}
-
-  ViewNumber new_view() const { return new_view_; }
-  const std::vector<Proposal>& proposals() const { return proposals_; }
+  using NewViewBase::NewViewBase;
 
   uint32_t type() const override { return kPbftNewView; }
   void EncodeTo(Encoder* enc) const override {
     enc->PutU32(kPbftNewView);
-    enc->PutU64(new_view_);
-    enc->PutU32(static_cast<uint32_t>(proposals_.size()));
-    for (const auto& p : proposals_) {
-      enc->PutU64(p.seq);
-      p.batch.EncodeTo(enc);
-      enc->PutRaw(p.digest.AsSlice());
-    }
+    enc->PutU64(new_view());
+    EncodeProposals(enc);
   }
   size_t auth_wire_bytes() const override {
-    return kSignatureBytes + proof_bytes_;
+    return kSignatureBytes + proof_bytes();
   }
   std::string DebugString() const override {
     std::ostringstream os;
-    os << "NEW-VIEW{v=" << new_view_ << " proposals=" << proposals_.size()
+    os << "NEW-VIEW{v=" << new_view() << " proposals=" << proposals().size()
        << "}";
     return os.str();
   }
-
- private:
-  ViewNumber new_view_;
-  std::vector<Proposal> proposals_;
-  size_t proof_bytes_;
 };
 
 }  // namespace bftlab

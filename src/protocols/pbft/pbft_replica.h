@@ -7,173 +7,54 @@
 #ifndef BFTLAB_PROTOCOLS_PBFT_PBFT_REPLICA_H_
 #define BFTLAB_PROTOCOLS_PBFT_PBFT_REPLICA_H_
 
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "protocols/common/quorum.h"
-#include "protocols/common/replica.h"
+#include "protocols/common/stable_leader_replica.h"
 #include "protocols/pbft/pbft_messages.h"
 
 namespace bftlab {
 
 /// One PBFT replica. See class comment above for the design-space point.
-class PbftReplica : public Replica {
+class PbftReplica : public StableLeaderReplica {
  public:
   PbftReplica(ReplicaConfig config,
               std::unique_ptr<StateMachine> state_machine);
 
   std::string name() const override { return "pbft"; }
-  ViewNumber view() const override { return view_; }
-  ReplicaId leader() const override {
-    return static_cast<ReplicaId>(view_ % n());
-  }
-  ReplicaId LeaderOf(ViewNumber v) const {
-    return static_cast<ReplicaId>(v % n());
-  }
-
-  /// True while the replica is between views (sent view-change, waiting
-  /// for new-view).
-  bool view_changing() const { return view_changing_; }
-  uint64_t view_changes_completed() const { return view_changes_completed_; }
-
-  void Start() override;
-  void OnTimer(uint64_t tag) override;
-  void OnRestart() override;
 
  protected:
-  void OnClientRequest(NodeId from, const ClientRequest& request) override;
   void OnProtocolMessage(NodeId from, const MessagePtr& msg) override;
-  void OnCheckpointStable(SequenceNumber seq) override;
-  void OnRequestExecuted(const ClientRequest& request,
-                         bool speculative) override;
-  void OnStateTransferComplete(SequenceNumber seq) override;
   uint64_t ProtocolStateFingerprint() const override;
 
- public:
-  size_t VoteStateSize() const override;
-
- protected:
-
-  // Timer tags.
-  static constexpr uint64_t kViewChangeTimer = kProtocolTimerBase + 0;
-  static constexpr uint64_t kBatchTimer = kProtocolTimerBase + 1;
-  static constexpr uint64_t kDelayedProposeTimer = kProtocolTimerBase + 2;
-  /// Leader liveness: while an accepted proposal sits unexecuted, the
-  /// leader periodically re-multicasts its pre-prepare (agreement
-  /// messages lost pre-GST are never re-sent otherwise).
-  static constexpr uint64_t kProgressTimer = kProtocolTimerBase + 3;
-
-  // --- Subclass hooks (Themis, Prime) -------------------------------------
-
-  /// Picks the next batch to propose (default: FIFO pool order). An empty
-  /// batch defers the proposal.
-  virtual Batch SelectBatch() { return TakeBatch(); }
-
-  /// Validates a leader proposal before accepting it (default: accept).
-  /// Returning false drops the proposal; liveness then comes from the
-  /// view-change timer.
+  /// Validates a leader proposal before accepting it (default: accept;
+  /// Themis checks fair order). Returning false drops the proposal;
+  /// liveness then comes from the view-change timer.
   virtual bool ValidateProposal(const PrePrepareMessage& msg) {
     (void)msg;
     return true;
   }
 
- protected:
-  /// Per-sequence consensus instance state (within the current view).
-  /// Votes are bucketed by digest so prepares/commits arriving before the
-  /// pre-prepare are not lost.
-  struct Instance {
-    ViewNumber view = 0;
-    bool has_pre_prepare = false;
-    Batch batch;
-    Digest digest;
-    std::map<Digest, VoterSet> prepare_votes;
-    std::map<Digest, VoterSet> commit_votes;
-    bool prepared = false;
-    bool committed = false;
-    bool prepare_sent = false;
-    bool commit_sent = false;
-  };
+  void SendProposal(SequenceNumber seq, Batch batch) override;
+  MessagePtr MakeProposal(SequenceNumber seq, Batch batch) override;
+  void RetransmitProposal(SequenceNumber seq, const Slot& slot) override;
+  std::shared_ptr<const ViewChangeBase> MakeViewChange(
+      ViewNumber new_view, std::vector<PreparedProof> proofs) override;
+  std::shared_ptr<const NewViewBase> MakeNewView(
+      ViewNumber new_view, SequenceNumber base_seq,
+      std::vector<Proposal> proposals, size_t proof_bytes) override;
+  void Reprepare(const Proposal& p, Slot* slot) override;
 
   void HandlePrePrepare(NodeId from, const PrePrepareMessage& msg);
   void HandlePrepare(NodeId from, const PrepareMessage& msg);
   void HandleCommit(NodeId from, const CommitMessage& msg);
-  void HandleViewChange(NodeId from, const ViewChangeMessage& msg);
-  void HandleNewView(NodeId from, const NewViewMessage& msg);
-
-  /// Leader: proposes pooled requests while the window allows.
-  void ProposeAvailable();
-  void ProposeBatch(Batch batch);
-  /// Applies Byzantine proposal behaviours; returns true if handled.
-  bool ByzantinePropose(SequenceNumber seq, Batch& batch);
+  /// Multicasts this replica's prepare (or commit) vote for `seq`.
+  void SendPrepare(SequenceNumber seq, const Digest& digest);
+  void SendCommit(SequenceNumber seq, const Digest& digest);
 
   void CheckPrepared(SequenceNumber seq);
   void CheckCommitted(SequenceNumber seq);
-
-  /// Enters the view-change protocol targeting `new_view`.
-  void StartViewChange(ViewNumber new_view);
-  /// Builds this replica's VIEW-CHANGE message (committed + prepared
-  /// proofs) for `new_view` without altering view-change state.
-  std::shared_ptr<ViewChangeMessage> BuildViewChange(ViewNumber new_view);
-  /// Records an authenticated agreement message from `sender` claiming
-  /// view `w`; once f+1 distinct replicas demonstrably operate above our
-  /// view, rejoin them (we may have missed the NEW-VIEW while down).
-  void NoteViewEvidence(ReplicaId sender, ViewNumber w);
-  /// New leader: assembles and broadcasts NEW-VIEW once 2f+1 VCs arrive.
-  void MaybeAssembleNewView(ViewNumber new_view);
-  /// Installs `new_view` with the given re-proposals.
-  void EnterNewView(ViewNumber new_view,
-                    const std::vector<NewViewMessage::Proposal>& proposals);
-
-  /// (Re)arms the view-change timer if unexecuted requests exist.
-  void ArmViewChangeTimerIfNeeded();
-  void DisarmViewChangeTimer();
-  /// Leader: (re)arms the pre-prepare retransmission watch.
-  void ArmProgressTimerIfNeeded();
-  /// Oldest unexecuted current-view proposal (0 = none).
-  SequenceNumber OldestUnexecutedInstance() const;
-
-  Instance& instance(SequenceNumber seq) { return instances_[seq]; }
-
-  ViewNumber view_ = 0;
-  SequenceNumber next_seq_ = 1;  // Leader: next sequence to assign.
-  std::map<SequenceNumber, Instance> instances_;
-
-  /// Committed batches above the stable checkpoint. Carried in
-  /// view-change messages so that a replica that committed a sequence
-  /// number keeps asserting it across ANY number of subsequent view
-  /// changes (instances_ alone is insufficient: it is reset when a new
-  /// view is installed, and a commit is only covered by checkpoints once
-  /// the next checkpoint stabilizes).
-  std::map<SequenceNumber, std::pair<Digest, Batch>> committed_log_;
-  /// Proof view used for committed entries: outranks any prepared proof.
-  static constexpr ViewNumber kCommittedProofView =
-      ~static_cast<ViewNumber>(0);
-
-  // View change state.
-  bool view_changing_ = false;
-  ViewNumber target_view_ = 0;
-  // (new_view) -> per-replica view-change messages.
-  std::map<ViewNumber, std::map<ReplicaId, ViewChangeMessage>> view_changes_;
-  SimTime current_vc_timeout_us_ = 0;
-  EventId view_change_timer_ = kInvalidEvent;
-  uint64_t view_changes_completed_ = 0;
-
-  EventId batch_timer_ = kInvalidEvent;
-  bool delayed_propose_pending_ = false;
-  /// Digest of the pooled request the view-change timer watches.
-  Digest vc_watch_;
-
-  EventId progress_timer_ = kInvalidEvent;
-  /// Replicas seen sending agreement messages in each view above ours.
-  std::map<ViewNumber, VoterSet> view_evidence_;
-  /// Highest view we already re-announced via the evidence rule.
-  ViewNumber asked_view_ = 0;
-  /// The NEW-VIEW this replica assembled as leader of view_; replayed to
-  /// replicas whose view changes show they missed it.
-  std::shared_ptr<NewViewMessage> last_new_view_;
 };
 
 /// Factory for Cluster.
