@@ -24,6 +24,15 @@ void FabReplica::OnClientRequest(NodeId from, const ClientRequest& request) {
   }
 }
 
+void FabReplica::OnRestart() {
+  // Timers that came due while the node was down were dropped, so the
+  // stored handles are stale; a restarted leader re-arms its retransmit
+  // timer and proposes what it pooled (ProposeAvailable does both).
+  batch_timer_ = kInvalidEvent;
+  retransmit_timer_ = kInvalidEvent;
+  ProposeAvailable();
+}
+
 void FabReplica::ProposeAvailable() {
   if (!IsLeader()) return;
   while (HasPending() && next_seq_ <= HighWatermark()) {

@@ -109,6 +109,7 @@ class FabReplica : public Replica {
   uint32_t FastQuorum() const { return 4 * f() + 1; }
 
   void OnTimer(uint64_t tag) override;
+  void OnRestart() override;
   size_t VoteStateSize() const override;
 
  protected:

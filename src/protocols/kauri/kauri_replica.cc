@@ -94,6 +94,23 @@ void KauriReplica::OnClientRequest(NodeId from, const ClientRequest& request) {
   }
 }
 
+void KauriReplica::OnRestart() {
+  // Timers that came due while the node was down were dropped, so the
+  // stored handles are stale. The root's aggregation timers drive
+  // retransmission: re-arm them for every in-flight instance, then
+  // propose what was pooled.
+  batch_timer_ = kInvalidEvent;
+  for (auto& [seq, inst] : instances_) {
+    inst.agg_timer = kInvalidEvent;
+    if (config().id == leader() && inst.has_proposal && !inst.committed) {
+      inst.agg_timer =
+          SetTimer(options_.aggregation_timeout_us * (tree_.Height() + 1),
+                   kAggTimerBase + seq);
+    }
+  }
+  ProposeAvailable();
+}
+
 void KauriReplica::ProposeAvailable() {
   if (config().id != leader()) return;
   while (HasPending() && next_seq_ <= HighWatermark()) {

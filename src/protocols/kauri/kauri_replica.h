@@ -213,6 +213,7 @@ class KauriReplica : public Replica {
   uint64_t reconfigurations() const { return reconfigs_; }
 
   void OnTimer(uint64_t tag) override;
+  void OnRestart() override;
   size_t VoteStateSize() const override;
 
  protected:

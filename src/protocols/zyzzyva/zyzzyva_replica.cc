@@ -183,6 +183,13 @@ void ZyzzyvaReplica::OnTimer(uint64_t tag) {
   }
 }
 
+void ZyzzyvaReplica::OnRestart() {
+  // A batch timer that came due while the node was down was dropped, so
+  // its handle is stale; a restarted leader proposes what it pooled.
+  batch_timer_ = kInvalidEvent;
+  ProposeAvailable();
+}
+
 // --- Client ------------------------------------------------------------------
 
 ZyzzyvaClient::ZyzzyvaClient(NodeId id, ClientConfig config, uint32_t f,

@@ -175,6 +175,7 @@ class ZyzzyvaReplica : public Replica {
   }
 
   void OnTimer(uint64_t tag) override;
+  void OnRestart() override;
 
   /// Transactions aborted during speculative execution (the conflict
   /// shows up before the history stabilizes).
