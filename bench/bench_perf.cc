@@ -35,6 +35,7 @@
 #include "bench/bench_util.h"
 #include "core/registry.h"
 #include "core/sweep.h"
+#include "crypto/sha256.h"
 #include "obs/export.h"
 
 namespace bftlab {
@@ -118,6 +119,10 @@ void Run(bool smoke, const char* json_path, const char* baseline_path) {
   if (baseline_path != nullptr) {
     baseline = ReadBaseline(baseline_path);  // Exits on missing/malformed.
   }
+
+  // Hosts with and without the SHA extensions differ several-fold in hash
+  // cost, so every report names the compressor it ran on.
+  std::printf("sha256 compressor: %s\n", Sha256::CompressorName());
 
   // 1. Single-run engine speed (best of repeats: the min-noise estimate).
   const int repeats = smoke ? 2 : 3;
@@ -207,7 +212,8 @@ void Run(bool smoke, const char* json_path, const char* baseline_path) {
 
   std::ostringstream os;
   os << "{\"bench\":\"perf\",\"smoke\":" << (smoke ? "true" : "false")
-     << ",\"hardware_concurrency\":" << hw
+     << ",\"hardware_concurrency\":" << hw << ",\"sha256\":\""
+     << Sha256::CompressorName() << "\""
      << ",\"single\":{\"protocol\":\"pbft\",\"sim_events\":" << single_events
      << ",\"wall_s\":" << best_wall
      << ",\"events_per_sec\":" << events_per_sec << "}"

@@ -516,8 +516,10 @@ Result<ShardedResult> ShardedRunner::Run() {
       gates_[s][w] = gate.get();
       cluster.AddClient(std::move(gate));
     }
+    // The next dense client id: the network and the metrics size their
+    // client slabs by id.
     auto rgate = std::make_unique<GateClient>(
-        static_cast<NodeId>(kClientIdBase + 1000000), gate_template);
+        static_cast<NodeId>(kClientIdBase + num_workers), gate_template);
     recovery_gates_[s] = rgate.get();
     cluster.AddClient(std::move(rgate));
   }

@@ -2,11 +2,9 @@
 
 #include <cstring>
 
-#include "crypto/sha256.h"
-
 namespace bftlab {
 
-Digest HmacSha256(Slice key, Slice message) {
+HmacKey::HmacKey(Slice key) {
   constexpr size_t kBlock = 64;
   uint8_t key_block[kBlock];
   std::memset(key_block, 0, kBlock);
@@ -23,9 +21,21 @@ Digest HmacSha256(Slice key, Slice message) {
     ipad[i] = key_block[i] ^ 0x36;
     opad[i] = key_block[i] ^ 0x5c;
   }
+  inner_.Update(Slice(ipad, kBlock));
+  outer_.Update(Slice(opad, kBlock));
+}
 
-  Digest inner = Sha256::Hash2(Slice(ipad, kBlock), message);
-  return Sha256::Hash2(Slice(opad, kBlock), inner.AsSlice());
+Digest HmacKey::Mac(Slice message) const {
+  Sha256 inner = inner_;
+  inner.Update(message);
+  const Digest inner_digest = inner.Finalize();
+  Sha256 outer = outer_;
+  outer.Update(inner_digest.AsSlice());
+  return outer.Finalize();
+}
+
+Digest HmacSha256(Slice key, Slice message) {
+  return HmacKey(key).Mac(message);
 }
 
 }  // namespace bftlab

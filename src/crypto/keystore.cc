@@ -3,58 +3,71 @@
 #include <algorithm>
 
 #include "common/codec.h"
-#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 
 namespace bftlab {
 
-KeyStore::KeyStore(uint64_t seed) {
+namespace {
+
+// Domain tags of the keys derived from the master secret.
+constexpr uint8_t kSigningDomain = 0x01;
+constexpr uint8_t kPairDomain = 0x02;
+constexpr uint8_t kShareDomain = 0x03;
+constexpr uint8_t kUsigDomain = 0x04;
+
+Digest MasterSecret(uint64_t seed) {
   Encoder enc;
   enc.PutString("bftlab-keystore-master");
   enc.PutU64(seed);
-  Digest d = Sha256::Hash(enc.buffer());
-  master_ = d.AsSlice().ToBuffer();
+  return Sha256::Hash(enc.buffer());
 }
 
-Digest KeyStore::NodeSecret(NodeId node) const {
+}  // namespace
+
+KeyStore::KeyStore(uint64_t seed) : master_(MasterSecret(seed).AsSlice()) {}
+
+const HmacKey& KeyStore::NodeKey(KeyCache* cache, uint8_t domain,
+                                 NodeId node) const {
+  auto it = cache->find(node);
+  if (it != cache->end()) return it->second;
   Encoder enc;
-  enc.PutU8(0x01);  // Domain tag: signing secret.
+  enc.PutU8(domain);
   enc.PutU32(node);
-  return HmacSha256(master_, enc.buffer());
+  return cache->emplace(node, HmacKey(master_.Mac(enc.buffer()).AsSlice()))
+      .first->second;
 }
 
-Digest KeyStore::PairKey(NodeId a, NodeId b) const {
+const HmacKey& KeyStore::PairKey(NodeId a, NodeId b) const {
   if (a > b) std::swap(a, b);
+  const uint64_t id = static_cast<uint64_t>(a) << 32 | b;
+  auto it = pair_.find(id);
+  if (it != pair_.end()) return it->second;
   Encoder enc;
-  enc.PutU8(0x02);  // Domain tag: pairwise MAC key.
+  enc.PutU8(kPairDomain);
   enc.PutU32(a);
   enc.PutU32(b);
-  return HmacSha256(master_, enc.buffer());
+  return pair_.emplace(id, HmacKey(master_.Mac(enc.buffer()).AsSlice()))
+      .first->second;
 }
 
-Digest KeyStore::ShareSecret(NodeId node) const {
-  Encoder enc;
-  enc.PutU8(0x03);  // Domain tag: threshold share secret.
-  enc.PutU32(node);
-  return HmacSha256(master_, enc.buffer());
+const HmacKey& KeyStore::ShareKey(NodeId node) const {
+  return NodeKey(&share_, kShareDomain, node);
 }
 
-Digest KeyStore::UsigSecret(NodeId node) const {
-  Encoder enc;
-  enc.PutU8(0x04);  // Domain tag: trusted-counter (USIG) device key.
-  enc.PutU32(node);
-  return HmacSha256(master_, enc.buffer());
+const HmacKey& KeyStore::UsigKey(NodeId node) const {
+  return NodeKey(&usig_, kUsigDomain, node);
 }
 
 Signature KeyStore::Sign(NodeId signer, Slice message) const {
   Signature sig;
   sig.signer = signer;
-  sig.tag = HmacSha256(NodeSecret(signer).AsSlice(), message);
+  sig.tag = NodeKey(&signing_, kSigningDomain, signer).Mac(message);
   return sig;
 }
 
 bool KeyStore::VerifySignature(const Signature& sig, Slice message) const {
-  return HmacSha256(NodeSecret(sig.signer).AsSlice(), message) == sig.tag;
+  return NodeKey(&signing_, kSigningDomain, sig.signer).Mac(message) ==
+         sig.tag;
 }
 
 Mac KeyStore::ComputeMac(NodeId sender, NodeId receiver,
@@ -62,13 +75,12 @@ Mac KeyStore::ComputeMac(NodeId sender, NodeId receiver,
   Mac mac;
   mac.sender = sender;
   mac.receiver = receiver;
-  mac.tag = HmacSha256(PairKey(sender, receiver).AsSlice(), message);
+  mac.tag = PairKey(sender, receiver).Mac(message);
   return mac;
 }
 
 bool KeyStore::VerifyMac(const Mac& mac, Slice message) const {
-  return HmacSha256(PairKey(mac.sender, mac.receiver).AsSlice(), message) ==
-         mac.tag;
+  return PairKey(mac.sender, mac.receiver).Mac(message) == mac.tag;
 }
 
 Signature CryptoContext::Sign(Slice message) {

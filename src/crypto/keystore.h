@@ -20,6 +20,7 @@
 #include "common/buffer.h"
 #include "common/types.h"
 #include "crypto/digest.h"
+#include "crypto/hmac.h"
 
 namespace bftlab {
 
@@ -77,6 +78,12 @@ struct Mac {
 
 /// Central key registry for one simulation. Deterministic from the seed.
 /// Owns per-node signing secrets and pairwise MAC session keys.
+///
+/// Each derived key is HMAC(master, domain tag || ids). Its HmacKey is
+/// built on first use and cached, so a tag costs only the compressions of
+/// the padded message and one outer block. The caches make the const
+/// methods write: a KeyStore belongs to one Cluster and is used from that
+/// Cluster's thread only.
 class KeyStore {
  public:
   explicit KeyStore(uint64_t seed);
@@ -94,17 +101,26 @@ class KeyStore {
   /// Verifies a pairwise MAC.
   bool VerifyMac(const Mac& mac, Slice message) const;
 
-  /// Secret used for node's threshold-signature share (see threshold.h).
-  Digest ShareSecret(NodeId node) const;
+  /// Key of node's threshold-signature share (see threshold.h).
+  const HmacKey& ShareKey(NodeId node) const;
 
   /// Device key of node's trusted counter (USIG); see trusted.h.
-  Digest UsigSecret(NodeId node) const;
+  const HmacKey& UsigKey(NodeId node) const;
 
  private:
-  Digest NodeSecret(NodeId node) const;
-  Digest PairKey(NodeId a, NodeId b) const;
+  // Keyed by node id, or by (a << 32 | b) for a pair a < b. Entries are
+  // never erased, so the references handed out stay valid.
+  using KeyCache = std::unordered_map<uint64_t, HmacKey>;
 
-  Buffer master_;
+  /// HMAC(master, domain || node) as a key, from `cache` or derived.
+  const HmacKey& NodeKey(KeyCache* cache, uint8_t domain, NodeId node) const;
+  const HmacKey& PairKey(NodeId a, NodeId b) const;
+
+  HmacKey master_;
+  mutable KeyCache signing_;
+  mutable KeyCache pair_;
+  mutable KeyCache share_;
+  mutable KeyCache usig_;
 };
 
 /// Per-node view of the KeyStore: can sign/MAC only as `self`, verify any.

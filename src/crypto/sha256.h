@@ -1,5 +1,8 @@
 // SHA-256 (FIPS 180-4), implemented from scratch. Used for request/block
 // digests and as the PRF underlying the simulated authentication schemes.
+// Blocks go through the x86-64 SHA extensions when CPUID reports them and
+// through a portable compressor otherwise (sha256_internal.h); the digest
+// is the same either way.
 
 #ifndef BFTLAB_CRYPTO_SHA256_H_
 #define BFTLAB_CRYPTO_SHA256_H_
@@ -33,9 +36,11 @@ class Sha256 {
   /// Hash of the concatenation of two byte ranges.
   static Digest Hash2(Slice a, Slice b);
 
- private:
-  void ProcessBlock(const uint8_t* block);
+  /// The compressor this process uses: "sha-ni" or "portable". Chosen
+  /// from CPUID on first use, never by configuration.
+  static const char* CompressorName();
 
+ private:
   uint32_t state_[8];
   uint64_t bit_count_ = 0;
   uint8_t pending_[64];

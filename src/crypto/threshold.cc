@@ -8,16 +8,17 @@
 namespace bftlab {
 
 Digest ThresholdScheme::ShareTag(NodeId signer, Slice message) const {
-  return HmacSha256(keystore_->ShareSecret(signer).AsSlice(), message);
+  return keystore_->ShareKey(signer).Mac(message);
 }
 
 Digest ThresholdScheme::CombineTags(const std::vector<NodeId>& signers,
                                     Slice message) const {
+  static const HmacKey kCombineKey(Slice("bftlab-threshold-combine"));
   Encoder enc;
   for (NodeId s : signers) {
     enc.PutRaw(ShareTag(s, message).AsSlice());
   }
-  return HmacSha256(Slice("bftlab-threshold-combine"), enc.buffer());
+  return kCombineKey.Mac(enc.buffer());
 }
 
 SignatureShare ThresholdScheme::SignShare(CryptoContext* ctx,

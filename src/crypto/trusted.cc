@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/codec.h"
-#include "crypto/hmac.h"
 
 namespace bftlab {
 
@@ -17,7 +16,7 @@ Digest UiTag(const KeyStore& keystore, NodeId signer, uint64_t epoch,
   enc.PutU64(epoch);
   enc.PutU64(counter);
   enc.PutBytes(digest.AsSlice());
-  return HmacSha256(keystore.UsigSecret(signer).AsSlice(), enc.buffer());
+  return keystore.UsigKey(signer).Mac(enc.buffer());
 }
 
 }  // namespace

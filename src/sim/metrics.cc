@@ -184,15 +184,15 @@ uint64_t MetricsCollector::MaxNodeMsgLoad() const {
 }
 
 double MetricsCollector::MsgLoadImbalance() const {
-  if (replica_stats_.empty() && client_stats_.empty()) return 0;
   std::vector<double> loads;
-  loads.reserve(replica_stats_.size() + client_stats_.size());
-  for (const NodeStats& stats : replica_stats_) {
-    loads.push_back(static_cast<double>(stats.msgs_sent + stats.msgs_received));
+  for (const auto* slab : {&replica_stats_, &client_stats_}) {
+    for (const NodeStats& stats : *slab) {
+      if (!stats.live) continue;
+      loads.push_back(
+          static_cast<double>(stats.msgs_sent + stats.msgs_received));
+    }
   }
-  for (const NodeStats& stats : client_stats_) {
-    loads.push_back(static_cast<double>(stats.msgs_sent + stats.msgs_received));
-  }
+  if (loads.empty()) return 0;
   double mean = 0;
   for (double l : loads) mean += l;
   mean /= static_cast<double>(loads.size());

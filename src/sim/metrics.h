@@ -63,6 +63,10 @@ struct NodeStats {
   uint64_t bytes_received = 0;
   double crypto_cpu_us = 0;
   uint64_t msgs_dropped = 0;  // Sent but dropped by the network.
+  /// Set once MetricsCollector::node() has handed this slot out. The slabs
+  /// are indexed by id, so an id no actor holds leaves a default slot
+  /// behind, and the per-node aggregates skip it.
+  bool live = false;
 };
 
 /// One committed-request observation.
@@ -83,6 +87,7 @@ class MetricsCollector {
         IsClientNode(id) ? client_stats_ : replica_stats_;
     size_t idx = IsClientNode(id) ? id - kClientIdBase : id;
     if (idx >= v.size()) v.resize(idx + 1);
+    v[idx].live = true;
     return v[idx];
   }
 
@@ -145,7 +150,8 @@ class MetricsCollector {
   uint64_t TotalBytesSent() const;
   /// Max over nodes of (msgs_sent + msgs_received): the hotspot load.
   uint64_t MaxNodeMsgLoad() const;
-  /// Coefficient of variation of per-node message load (load imbalance).
+  /// Coefficient of variation of per-node message load (load imbalance)
+  /// over the nodes node() has handed out; 0 when there are none.
   double MsgLoadImbalance() const;
 
  private:

@@ -598,6 +598,23 @@ TEST(MetricsTest, CountersAndImbalance) {
   EXPECT_EQ(m.MaxNodeMsgLoad(), 300u);
 }
 
+TEST(MetricsTest, ImbalanceSkipsIdsNoNodeHolds) {
+  // A sparse client id (like the switch control client's) makes the
+  // client slab default-construct every slot below it; those ids hold no
+  // node and must not dilute the per-node load statistics.
+  MetricsCollector dense, sparse;
+  for (MetricsCollector* m : {&dense, &sparse}) {
+    m->node(0).msgs_sent = 100;
+    m->node(1).msgs_sent = 300;
+    m->node(kClientIdBase).msgs_received = 200;
+  }
+  sparse.node(kClientIdBase + (1u << 15)).msgs_sent = 200;
+  dense.node(kClientIdBase + 1).msgs_sent = 200;
+  EXPECT_GT(dense.MsgLoadImbalance(), 0.0);
+  EXPECT_DOUBLE_EQ(sparse.MsgLoadImbalance(), dense.MsgLoadImbalance());
+  EXPECT_EQ(MetricsCollector().MsgLoadImbalance(), 0.0);
+}
+
 TEST(MetricsTest, HistogramExtremesStayExactAcrossInterleavedAdds) {
   Histogram h;
   h.Add(5);
